@@ -8,9 +8,10 @@
 //
 // Every row self-checks byte-identity: after the load drains, the final
 // served snapshot must equal a *sequential* IncrementalView replay of the
-// server's commit log against the same base — the torn-read check of
-// oracle pair #10, applied to the real threaded path. Any divergence
-// fails the binary.
+// commits the writers were acked, in epoch order, against the same base
+// — the torn-read check of oracle pair #10, applied to the real threaded
+// path. Any divergence, or an acked epoch sequence other than 1..n, fails
+// the binary.
 //
 // On a single-core host the thread sweep reports scheduling overhead, not
 // parallel speedup; the interesting numbers are QPS under contention and
@@ -18,6 +19,7 @@
 //
 // Usage: server_throughput [--json=<path>]
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -30,7 +32,9 @@
 #include "bench_util.h"
 #include "core/engine.h"
 #include "eval/incremental.h"
+#include "server/scheduler.h"
 #include "server/server.h"
+#include "server/session.h"
 #include "server/wire.h"
 
 namespace {
@@ -104,6 +108,8 @@ bool RunScenario(int num_readers, Row* row) {
   std::atomic<int64_t> writes{0};
   datalog::bench::Timer timer;
 
+  // Each writer records its own acks; merged after the join.
+  std::vector<std::vector<server::AckedCommit>> acked(kWriters);
   std::vector<std::thread> clients;
   for (int w = 0; w < kWriters; ++w) {
     clients.emplace_back([&, w] {
@@ -116,7 +122,11 @@ bool RunScenario(int num_readers, Row* row) {
         const std::string tokens = (i % 2 == 0 ? "+" : "-") + edge;
         server::Response r = (*srv)->Call(server::Request{
             server::Request::Kind::kUpdate, tokens, 0, nullptr});
-        if (r.status != StatusCode::kOk) failed.fetch_add(1);
+        if (r.status == StatusCode::kOk) {
+          acked[static_cast<size_t>(w)].push_back({r.epoch, tokens});
+        } else {
+          failed.fetch_add(1);
+        }
         writes.fetch_add(1);
       }
     });
@@ -150,7 +160,15 @@ bool RunScenario(int num_readers, Row* row) {
   row->final_epoch = (*srv)->epoch();
 
   // Byte-identity self-check: final served snapshot == sequential replay
-  // of the commit log.
+  // of the acked commits, whose epochs must be exactly 1..final_epoch.
+  std::vector<server::AckedCommit> commits;
+  for (std::vector<server::AckedCommit>& mine : acked) {
+    commits.insert(commits.end(), mine.begin(), mine.end());
+  }
+  std::sort(commits.begin(), commits.end(),
+            [](const server::AckedCommit& a, const server::AckedCommit& b) {
+              return a.epoch < b.epoch;
+            });
   server::Response final_snapshot = (*srv)->ServeQuery(server::Request{
       server::Request::Kind::kSnapshotQuery, "", 0, nullptr});
   Instance replay_base(&engine.catalog());
@@ -158,14 +176,19 @@ bool RunScenario(int num_readers, Row* row) {
   auto view =
       IncrementalView::Create(*program, engine.catalog(), replay_base);
   if (!view.ok()) return false;
-  for (const server::CommitRecord& commit : (*srv)->CommitLog()) {
-    if (!(*view)->ApplyBatch(commit.batch).ok()) return false;
+  bool contiguous = row->final_epoch == static_cast<int64_t>(commits.size());
+  for (size_t i = 0; i < commits.size(); ++i) {
+    contiguous = contiguous && commits[i].epoch == static_cast<int64_t>(i) + 1;
+    std::vector<datalog::FactUpdate> batch;
+    if (!server::ParseUpdateTokens(commits[i].update_tokens,
+                                   engine.catalog(), &engine.symbols(),
+                                   &batch) ||
+        !(*view)->ApplyBatch(batch).ok()) {
+      return false;
+    }
   }
-  row->agree = final_snapshot.status == StatusCode::kOk &&
-               final_snapshot.body ==
-                   (*view)->model().SerializeSnapshot() &&
-               row->final_epoch ==
-                   static_cast<int64_t>((*srv)->CommitLog().size());
+  row->agree = contiguous && final_snapshot.status == StatusCode::kOk &&
+               final_snapshot.body == (*view)->model().SerializeSnapshot();
 
   // Reclamation must have quiesced: one live snapshot, no pins.
   const server::SnapshotRegistry& registry = (*srv)->snapshots();

@@ -61,9 +61,12 @@ std::string ChainFacts() {
 }
 
 /// The i-th committed batch: toggle one private off-chain edge so every
-/// commit changes the model and none is a no-op.
+/// commit changes the model and none is a no-op. Both endpoints lie past
+/// the chain's last node (kChain), so the edge stays private — a 2-fact
+/// delta — at any chain length.
 std::string Tokens(int i) {
-  return std::string(i % 2 == 0 ? "+" : "-") + "e1(500,501)";
+  return std::string(i % 2 == 0 ? "+" : "-") + "e1(" +
+         std::to_string(kChain + 1) + "," + std::to_string(kChain + 2) + ")";
 }
 
 /// A throwaway store directory, cleaned up on destruction.

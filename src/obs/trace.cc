@@ -6,10 +6,16 @@ namespace {
 
 /// Thread-local ring cache. `epoch` says which tracing session the
 /// cached pointer belongs to; a stale pointer is never written through —
-/// LocalRing re-acquires instead (Enable deleted the old ring).
+/// LocalRing re-acquires instead (Enable deleted the old ring). When the
+/// thread exits, its ring goes back to the tracer's free list, so the
+/// next new thread records into it instead of allocating another.
 struct RingCache {
   Tracer::Ring* ring = nullptr;
   uint64_t epoch = 0;
+  ~RingCache() {
+    if (ring != nullptr) Tracer::Get().ReleaseRing(ring, epoch);
+    ring = nullptr;
+  }
 };
 
 thread_local RingCache tls_ring;
@@ -27,6 +33,7 @@ void Tracer::Enable(size_t events_per_thread) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Ring* ring : rings_) delete ring;
   rings_.clear();
+  free_rings_.clear();
   capacity_ = events_per_thread == 0 ? 1 : events_per_thread;
   session_start_ = std::chrono::steady_clock::now();
   // Publish the new session before allowing recording: a thread that
@@ -53,11 +60,25 @@ Tracer::Ring* Tracer::LocalRing() {
       !enabled_.load(std::memory_order_relaxed)) {
     return nullptr;
   }
-  auto* ring = new Ring(static_cast<uint32_t>(rings_.size()), capacity_);
-  rings_.push_back(ring);
+  Ring* ring = nullptr;
+  if (!free_rings_.empty()) {
+    ring = free_rings_.back();
+    free_rings_.pop_back();
+  } else {
+    ring = new Ring(static_cast<uint32_t>(rings_.size()), capacity_);
+    rings_.push_back(ring);
+  }
   tls_ring.ring = ring;
   tls_ring.epoch = current;
   return ring;
+}
+
+void Tracer::ReleaseRing(Ring* ring, uint64_t session) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A ring from an earlier session was already deleted by Enable.
+  if (session != epoch_.load(std::memory_order_relaxed)) return;
+  ring->depth = 0;
+  free_rings_.push_back(ring);
 }
 
 std::vector<TraceEvent> Tracer::Snapshot() const {

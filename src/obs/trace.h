@@ -42,8 +42,11 @@ struct TraceEvent {
   /// Microseconds since Tracer::Enable.
   int64_t start_us = 0;
   int64_t dur_us = 0;
-  /// Dense thread id, assigned in order of first span per thread after
-  /// the last Enable (the enabling thread is 0 if it spans first).
+  /// Dense ring id, assigned in order of first span per thread after the
+  /// last Enable (the enabling thread is 0 if it spans first). A tid
+  /// names a ring slot, not an OS thread: once a thread exits, its ring
+  /// — and so its tid — is handed to the next thread that records, so
+  /// the number of tids is bounded by the threads recording at once.
   uint32_t tid = 0;
   /// Nesting depth on the recording thread (0 = thread-root span).
   uint32_t depth = 0;
@@ -93,9 +96,13 @@ class Tracer {
     }
   };
 
-  /// The calling thread's ring for the current session (creating and
-  /// registering it on first use), or nullptr when tracing is disabled.
+  /// The calling thread's ring for the current session (on first use
+  /// reusing a ring an exited thread released, else creating one), or
+  /// nullptr when tracing is disabled.
   Ring* LocalRing();
+  /// Called at thread exit: returns the thread's ring (from session
+  /// `session`) to the free list; its events stay readable.
+  void ReleaseRing(Ring* ring, uint64_t session);
   /// Session id; bumped by Enable so stale thread-local ring pointers
   /// are re-acquired instead of written to.
   uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
@@ -113,7 +120,8 @@ class Tracer {
   std::atomic<uint64_t> epoch_{0};
 
   mutable std::mutex mu_;
-  std::vector<Ring*> rings_;  // owned; cleared on Enable
+  std::vector<Ring*> rings_;       // owned; cleared on Enable
+  std::vector<Ring*> free_rings_;  // subset of rings_ no thread holds
   size_t capacity_ = kDefaultCapacity;
   std::chrono::steady_clock::time_point session_start_{};
 };

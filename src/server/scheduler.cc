@@ -80,13 +80,25 @@ ScheduleRun RunSessions(Server* server, const std::vector<SessionOp>& ops,
     ++vtime;
 
     if (actor == kWriter) {
+      const store::DurableStore* store = server->store();
+      const bool was_crashed = store != nullptr && store->crashed();
       server->ApplyOneQueued();
+      const bool crashed_now =
+          !was_crashed && store != nullptr && store->crashed();
       // The commit settles exactly one ticket; unblock its session.
       for (auto& [sid, state] : sessions) {
         if (!state.blocked()) continue;
         Response response;
         if (!server->UpdateOutcome(state.waiting_ticket, &response)) {
           continue;
+        }
+        AckedCommit commit{response.epoch,
+                           ops[state.waiting_op_index].update_tokens};
+        if (response.status == StatusCode::kOk) {
+          run.acked.push_back(std::move(commit));
+        } else if (crashed_now) {
+          commit.epoch = server->epoch() + 1;
+          run.in_doubt = std::move(commit);
         }
         run.events.push_back(ScheduledEvent{vtime, state.waiting_op_index,
                                             sid, false,
@@ -130,7 +142,6 @@ ScheduleRun RunSessions(Server* server, const std::vector<SessionOp>& ops,
   }
   server->set_on_publish(nullptr);
 
-  run.commits = server->CommitLog();
   run.final_epoch = server->epoch();
   run.view_stats = server->view_stats();
   run.counters = server->snapshots().counters();

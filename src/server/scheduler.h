@@ -31,6 +31,7 @@
 // replayable.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,14 +56,31 @@ struct ScheduledEvent {
   Response response;
 };
 
+/// One commit as its client observed it: the epoch the update's
+/// response carried and the tokens the client submitted. Replaying these
+/// through a fresh IncrementalView in epoch order reproduces every epoch
+/// the server published — without asking the server what it committed.
+struct AckedCommit {
+  int64_t epoch = 0;
+  std::string update_tokens;
+};
+
 struct ScheduleRun {
   bool ok = false;
   std::string error;
   /// Completed ops, in completion (virtual-time) order. Update events
   /// complete when their batch commits.
   std::vector<ScheduledEvent> events;
-  /// The server's commit log after the run (publication order).
-  std::vector<CommitRecord> commits;
+  /// The commits acked OK, taken from the update events' responses, in
+  /// ack order — which is epoch order, the writer being single.
+  std::vector<AckedCommit> acked;
+  /// The commit in doubt: the writer step that crashed the durable store
+  /// (its crashed() flipped during the step) and answered an error. The
+  /// client saw a refusal, but the WAL may still hold the record, so
+  /// recovery may land on this epoch (server epoch + 1) or the one
+  /// before. At most one exists — a crashed store refuses every later
+  /// write without touching the log.
+  std::optional<AckedCommit> in_doubt;
   /// Published model bytes per epoch: epoch_bytes[i] is epoch
   /// (base_epoch + i)'s canonical snapshot. base_epoch is 0 for a fresh
   /// server and the recovered epoch when the run drives a server that

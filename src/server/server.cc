@@ -151,9 +151,10 @@ Server::~Server() {
   }
 }
 
-void Server::PublishCurrentModel(int64_t epoch) {
+void Server::PublishCurrentModel(int64_t epoch,
+                                 std::optional<Instance> stale) {
   OBS_SPAN("server.publish", {{"epoch", static_cast<int>(epoch)}});
-  Instance model = view_->model();
+  Instance model = stale.has_value() ? std::move(*stale) : view_->model();
   std::string bytes = model.SerializeSnapshot();
   auto snapshot =
       std::make_unique<Snapshot>(epoch, std::move(model), std::move(bytes));
@@ -222,15 +223,10 @@ bool Server::ApplyOneQueued() {
     return true;
   }
 
-  // Planted torn-read bug (test_hooks.h): snapshot the model *before*
-  // the batch lands, then publish those stale bytes under the new epoch.
-  std::unique_ptr<Snapshot> stale;
-  if (internal::g_server_publish_stale) {
-    Instance model = view_->model();
-    std::string bytes = model.SerializeSnapshot();
-    stale = std::make_unique<Snapshot>(registry_.current_epoch() + 1,
-                                       std::move(model), std::move(bytes));
-  }
+  // Planted torn-read bug (test_hooks.h): copy the model *before* the
+  // batch lands, then publish that stale copy under the new epoch.
+  std::optional<Instance> stale;
+  if (internal::g_server_publish_stale) stale = view_->model();
 
   const int64_t syncs_before =
       store_ != nullptr ? store_->wal().syncs() : 0;
@@ -266,19 +262,8 @@ bool Server::ApplyOneQueued() {
     }
     if (logged) {
       BatchesAppliedCounter().Add(1);
-      if (stale != nullptr) {
-        const Snapshot* published = stale.get();
-        registry_.Publish(std::move(stale));
-        EpochGauge().Set(epoch);
-        if (on_publish_) on_publish_(epoch, published->model_bytes());
-      } else {
-        PublishCurrentModel(epoch);
-      }
+      PublishCurrentModel(epoch, std::move(stale));
       response.epoch = epoch;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        commit_log_.push_back(CommitRecord{epoch, std::move(pending.batch)});
-      }
       // Compaction after publish: the ack does not wait on the snapshot
       // write, and a compaction crash cannot retract an acked commit —
       // it only kills the store for *future* writes.
@@ -314,11 +299,12 @@ bool Server::ApplyOneQueued() {
   return true;
 }
 
-bool Server::UpdateOutcome(int64_t ticket, Response* response) const {
+bool Server::UpdateOutcome(int64_t ticket, Response* response) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tickets_.find(ticket);
   if (it == tickets_.end() || !it->second.done) return false;
-  *response = it->second.response;
+  *response = std::move(it->second.response);
+  tickets_.erase(it);
   return true;
 }
 
@@ -540,11 +526,6 @@ void Server::ServeListener(SocketListener* listener) {
     conn_channels_.push_back(std::move(channel));
     conn_threads_.emplace_back([this, raw] { Serve(raw); });
   }
-}
-
-std::vector<CommitRecord> Server::CommitLog() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return commit_log_;
 }
 
 IncrementalView::Stats Server::view_stats() const {

@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -73,14 +74,6 @@ struct ServerOptions {
   store::StoreOptions durability;
 };
 
-/// One applied mutation batch: `epoch` is the snapshot it produced.
-/// Commit order is publication order; replaying the log against a fresh
-/// IncrementalView reproduces every epoch's bytes.
-struct CommitRecord {
-  int64_t epoch = 0;
-  std::vector<FactUpdate> batch;
-};
-
 class Server {
  public:
   /// Evaluates the initial model (epoch 0 is published before Create
@@ -106,13 +99,14 @@ class Server {
   Result<int64_t> SubmitUpdate(const std::string& tokens);
 
   /// One writer step: applies the oldest queued batch through the view,
-  /// publishes the next epoch, appends the commit record and settles the
+  /// logs it (when durable), publishes the next epoch and settles the
   /// ticket. False if the queue was empty.
   bool ApplyOneQueued();
 
   /// True once `ticket`'s batch was applied (or rejected); fills the
-  /// update's response (epoch created, or the rejection status).
-  bool UpdateOutcome(int64_t ticket, Response* response) const;
+  /// update's response (epoch created, or the rejection status) and
+  /// forgets the ticket — a settled ticket is read once.
+  bool UpdateOutcome(int64_t ticket, Response* response);
 
   int64_t pending_updates() const;
 
@@ -154,8 +148,8 @@ class Server {
   struct RecoveryInfo {
     /// True when Create ran recovery (durability.dir was non-empty).
     bool ran = false;
-    /// Epoch recovered to — the first publish and the base the commit
-    /// log continues from. CommitLog() only holds post-recovery commits.
+    /// Epoch recovered to — the first publish; the first commit after
+    /// recovery is acked with epoch + 1.
     int64_t epoch = 0;
     int64_t replayed = 0;
     bool from_snapshot = false;
@@ -176,8 +170,6 @@ class Server {
   int64_t epoch() const { return registry_.current_epoch(); }
   const SnapshotRegistry& snapshots() const { return registry_; }
   const Catalog& catalog() const { return *catalog_; }
-  /// Copy of the commit log (publication order).
-  std::vector<CommitRecord> CommitLog() const;
   /// The underlying view's deterministic maintenance counters. Only
   /// meaningful at quiescence (the writer thread mutates them).
   IncrementalView::Stats view_stats() const;
@@ -210,9 +202,11 @@ class Server {
   Server(std::unique_ptr<IncrementalView> view, const Catalog* catalog,
          SymbolTable* symbols, const ServerOptions& options);
 
-  /// Serializes the current model and publishes it as `epoch`. Writer
-  /// only.
-  void PublishCurrentModel(int64_t epoch);
+  /// Serializes the view's current model — or `stale`, the pre-apply
+  /// copy the planted torn-publish bug keeps (test_hooks.h) — and
+  /// publishes it as `epoch`. Writer only.
+  void PublishCurrentModel(int64_t epoch,
+                           std::optional<Instance> stale = std::nullopt);
 
   void WriterLoop();
   void ReaderLoop();
@@ -230,13 +224,12 @@ class Server {
   SnapshotRegistry registry_;
   PublishHook on_publish_;
 
-  /// Guards the writer queue, tickets and commit log.
+  /// Guards the writer queue and tickets.
   mutable std::mutex mu_;
   std::condition_variable writer_cv_;   // queue non-empty or stopping
   std::condition_variable tickets_cv_;  // a ticket settled
   std::deque<PendingUpdate> queue_;
   std::unordered_map<int64_t, TicketState> tickets_;
-  std::vector<CommitRecord> commit_log_;
   int64_t next_ticket_ = 1;
 
   /// Guards the reader job queue.

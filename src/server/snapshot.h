@@ -49,7 +49,6 @@ class Snapshot {
   /// this epoch — the payload of a full-snapshot query and the unit the
   /// server-vs-library oracle diffs per epoch.
   const std::string& model_bytes() const { return model_bytes_; }
-  const Instance& model() const { return model_; }
 
   /// Bytes of the model restricted to `pred` (same canonical format),
   /// computed on first request and cached for the snapshot's lifetime.

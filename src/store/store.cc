@@ -58,9 +58,6 @@ Status DurableStore::AppendCommit(int64_t epoch,
   if (crashed()) {
     return Status::Internal("store crashed (commit refused)");
   }
-  // Recorded before the WAL can crash: the oracle's replay needs every
-  // batch the store tried to persist, acknowledged or not.
-  attempts_.push_back(CommitAttempt{epoch, update_tokens});
   DATALOG_RETURN_IF_ERROR(wal_->Append(epoch, update_tokens));
   ++commits_since_snapshot_;
   return Status::OK();

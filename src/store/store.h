@@ -46,14 +46,6 @@ struct StoreOptions {
   DurabilityFaultSchedule faults;
 };
 
-/// One attempted commit append, recorded before the WAL gets a chance to
-/// crash — the oracle replays this list to reconstruct what the store
-/// *tried* to make durable.
-struct CommitAttempt {
-  int64_t epoch = 0;
-  std::string update_tokens;
-};
-
 class DurableStore {
  public:
   static Result<std::unique_ptr<DurableStore>> Open(
@@ -95,7 +87,6 @@ class DurableStore {
   int64_t durable_epoch() const {
     return std::max(wal_->last_synced_epoch(), last_snapshot_epoch_);
   }
-  const std::vector<CommitAttempt>& attempts() const { return attempts_; }
   const DurabilityFaultSchedule& faults() const { return options_.faults; }
   const Wal& wal() const { return *wal_; }
   int64_t snapshots() const { return snapshotter_->writes(); }
@@ -109,7 +100,6 @@ class DurableStore {
   StoreOptions options_;
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<Snapshotter> snapshotter_;
-  std::vector<CommitAttempt> attempts_;
   int64_t last_snapshot_epoch_ = -1;
   int commits_since_snapshot_ = 0;
 };

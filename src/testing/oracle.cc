@@ -657,6 +657,41 @@ OracleVerdict RunIncrementalVsScratch(ParsedCase* c,
 
 // ---- kServerVsLibrary ---------------------------------------------------
 
+/// The client-observed commits must carry the epochs base+1, base+2, ...
+/// in order: one writer acks each epoch exactly once.
+bool AckEpochsContiguous(const std::vector<server::AckedCommit>& acks,
+                         int64_t base_epoch, std::string* detail) {
+  for (size_t i = 0; i < acks.size(); ++i) {
+    const int64_t expected = base_epoch + static_cast<int64_t>(i) + 1;
+    if (acks[i].epoch != expected) {
+      *detail = "commit " + std::to_string(i) + " (" +
+                acks[i].update_tokens + ") carries epoch " +
+                std::to_string(acks[i].epoch) + ", expected " +
+                std::to_string(expected);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Applies one client-observed commit to the library replay `view`.
+bool ReplayAck(const server::AckedCommit& ack, ParsedCase* c,
+               IncrementalView* view, std::string* detail) {
+  std::vector<FactUpdate> batch;
+  if (!server::ParseUpdateTokens(ack.update_tokens, c->engine.catalog(),
+                                 &c->engine.symbols(), &batch)) {
+    *detail = "epoch " + std::to_string(ack.epoch) +
+              " holds unparseable tokens: " + ack.update_tokens;
+    return false;
+  }
+  if (Status st = view->ApplyBatch(batch); !st.ok()) {
+    *detail = "library replay apply at epoch " + std::to_string(ack.epoch) +
+              ": " + st.ToString();
+    return false;
+  }
+  return true;
+}
+
 /// One virtual-clock run of the case's session script against a fresh
 /// Server. Create-refusals surface as !created (inapplicable upstream
 /// when the fragment is the reason). The server itself stays alive in
@@ -714,32 +749,29 @@ OracleVerdict RunServerVsLibrary(ParsedCase* c, const std::string& facts_text,
   const server::ScheduleRun& run = first.run;
   if (!run.ok) return Disagreed("schedule: " + run.error);
 
-  // 1. Sequential library replay of the commit log: one model copy per
-  // epoch. Epoch e's published bytes must match the replay after the
-  // first e batches — the torn-read check.
+  // 1. Sequential library replay of the commits clients were acked: one
+  // model copy per epoch. Epoch e's published bytes must match the
+  // replay after the first e batches — the torn-read check.
   Result<std::unique_ptr<IncrementalView>> view = IncrementalView::Create(
       *c->program, c->engine.catalog(), *c->db, c->engine.options());
   if (!view.ok()) {
     return Disagreed("library create: " + view.status().ToString());
   }
+  std::string detail;
+  if (!AckEpochsContiguous(run.acked, run.base_epoch, &detail)) {
+    return Disagreed("acked " + detail);
+  }
   std::vector<Instance> models;
   models.push_back((*view)->model());
-  for (size_t i = 0; i < run.commits.size(); ++i) {
-    if (run.commits[i].epoch != static_cast<int64_t>(i) + 1) {
-      return Disagreed("commit log epoch " +
-                       std::to_string(run.commits[i].epoch) +
-                       " at position " + std::to_string(i));
-    }
-    if (Status st = (*view)->ApplyBatch(run.commits[i].batch); !st.ok()) {
-      return Disagreed("library replay apply: " + st.ToString());
-    }
+  for (const server::AckedCommit& ack : run.acked) {
+    if (!ReplayAck(ack, c, view->get(), &detail)) return Disagreed(detail);
     models.push_back((*view)->model());
   }
   if (run.epoch_bytes.size() != models.size()) {
     return Disagreed("server published " +
                      std::to_string(run.epoch_bytes.size()) +
-                     " epochs but committed " +
-                     std::to_string(run.commits.size()) + " batches");
+                     " epochs but acked " +
+                     std::to_string(run.acked.size()) + " commits");
   }
   for (size_t e = 0; e < models.size(); ++e) {
     if (models[e].SerializeSnapshot() != run.epoch_bytes[e]) {
@@ -868,7 +900,7 @@ OracleVerdict RunServerVsLibrary(ParsedCase* c, const std::string& facts_text,
   }
   if (second.run.events.size() != run.events.size() ||
       second.run.epoch_bytes != run.epoch_bytes ||
-      second.run.commits.size() != run.commits.size()) {
+      second.run.acked.size() != run.acked.size()) {
     return Disagreed("deterministic re-run diverged in shape");
   }
   for (size_t i = 0; i < run.events.size(); ++i) {
@@ -960,24 +992,28 @@ OracleVerdict RunCrashRecoverVsReplay(ParsedCase* c,
   if (!run.ok) return Disagreed("schedule: " + run.error);
 
   // Settle the shutdown flush first — a crash pending on the fsync path
-  // fires here — then freeze the store's ground truth and destroy the
+  // fires here — then read the store's durable epoch and destroy the
   // server (whose own destructor flush is now a no-op).
   (void)outcome.server->FlushStore();
   const store::DurableStore* st = outcome.server->store();
   if (st == nullptr) return Disagreed("durable server has no store");
-  const std::vector<store::CommitAttempt> attempts = st->attempts();
   const bool store_crashed = st->crashed();
   const int64_t durable_epoch = st->durable_epoch();
   const char* crash_point =
       store_crashed ? store::CrashPointName(st->faults().crash_point) : "none";
-  for (size_t i = 0; i < attempts.size(); ++i) {
-    if (attempts[i].epoch != static_cast<int64_t>(i) + 1) {
-      return Disagreed("commit attempt " + std::to_string(i) +
-                       " carries epoch " + std::to_string(attempts[i].epoch));
-    }
+  outcome.server.reset();
+
+  // The ground truth is what clients observed: the acked commits, whose
+  // epochs must run 1, 2, ... (the server started from an empty
+  // directory), then the one commit in doubt (refused to its client by
+  // the crash, maybe logged anyway) at the next epoch. The last attempt
+  // is the latter if there is one.
+  std::vector<server::AckedCommit> attempts = run.acked;
+  if (run.in_doubt.has_value()) attempts.push_back(*run.in_doubt);
+  if (std::string detail; !AckEpochsContiguous(attempts, 0, &detail)) {
+    return Disagreed("attempted " + detail);
   }
   const int64_t last_attempt = static_cast<int64_t>(attempts.size());
-  outcome.server.reset();
 
   Result<store::Recovered> rec =
       store::Recover(scratch.dir(), *c->program, c->engine.catalog(),
@@ -1012,17 +1048,10 @@ OracleVerdict RunCrashRecoverVsReplay(ParsedCase* c,
     return Disagreed("replay create: " + replay.status().ToString());
   }
   for (int64_t e = 1; e <= rec->epoch; ++e) {
-    std::vector<FactUpdate> batch;
-    if (!server::ParseUpdateTokens(attempts[static_cast<size_t>(e - 1)]
-                                       .update_tokens,
-                                   c->engine.catalog(), &c->engine.symbols(),
-                                   &batch)) {
-      return Disagreed("attempt for epoch " + std::to_string(e) +
-                       " holds unparseable tokens");
-    }
-    if (Status s = (*replay)->ApplyBatch(batch); !s.ok()) {
-      return Disagreed("replay apply at epoch " + std::to_string(e) + ": " +
-                       s.ToString());
+    std::string detail;
+    if (!ReplayAck(attempts[static_cast<size_t>(e - 1)], c, replay->get(),
+                   &detail)) {
+      return Disagreed(detail + " " + where);
     }
   }
   if (rec->view->model().SerializeSnapshot() !=

@@ -3,8 +3,10 @@
 // seeded fault schedule and its `%!` spec line, compacted snapshots with
 // the tmp+fsync+rename protocol, crash recovery (snapshot load, WAL tail
 // replay, torn-tail truncation, epoch skips, idempotence), oracle pair
-// #11 (crash-recover-vs-replay) with its planted skip-truncate bug, and
-// a server restart that recovers and keeps committing.
+// #11 (crash-recover-vs-replay) with its planted skip-truncate bug, the
+// client-observed in-doubt commit of an append-path crash, a server
+// restart that recovers and keeps committing, and a soak that bounds
+// what a long-running durable server retains.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "core/engine.h"
 #include "eval/incremental.h"
 #include "eval/test_hooks.h"
+#include "server/scheduler.h"
 #include "server/server.h"
 #include "server/session.h"
 #include "server/wire.h"
@@ -367,7 +370,9 @@ SnapshotData MakeSnapshotData() {
   SnapshotData snap;
   snap.epoch = 2;
   snap.wal_offset = 48;
-  snap.base_bytes = std::string("\x01\x00base-bytes", 12);
+  // Split literal: "\x00ba..." would read as one hex escape, leaving 11
+  // bytes where 12 are copied.
+  snap.base_bytes = std::string("\x01\x00" "base-bytes", 12);
   snap.symbols = {"0", "1", "alpha"};
   return snap;
 }
@@ -676,6 +681,70 @@ TEST_F(RecoverTest, SkipsWalEpochsAlreadyInTheSnapshot) {
             ReplayModel("e1(0, 1).", {"+e1(1,2)"}));
 }
 
+TEST_F(RecoverTest, AppendPathCrashLeavesOneCommitInDoubt) {
+  // One session commits four batches in order under a per-commit fsync,
+  // so each commit passes two crash points: hit 2e-1 is epoch e's WAL
+  // append, hit 2e its fsync. Each schedule crashes epoch 3's append
+  // path: the whole record written but unacked, the record torn at 7
+  // bytes, or the record written and the fsync never issued.
+  struct Case {
+    int64_t crash_at;
+    int torn_keep;
+    store::CrashPoint point;
+  };
+  const std::vector<Case> cases = {
+      {5, -1, store::CrashPoint::kWalAppend},
+      {5, 7, store::CrashPoint::kWalAppend},
+      {6, -1, store::CrashPoint::kWalBeforeFsync},
+  };
+  std::vector<server::SessionOp> ops;
+  ASSERT_TRUE(server::ParseSessionScript(
+      "%@ 0 u +e1(1,2)\n%@ 0 u +e1(2,3)\n%@ 0 u +e1(3,4)\n"
+      "%@ 0 u +e1(4,5)\n",
+      &ops));
+  for (const Case& c : cases) {
+    SCOPED_TRACE("crash_at=" + std::to_string(c.crash_at) +
+                 " torn=" + std::to_string(c.torn_keep));
+    ScratchDir dir;
+    server::ServerOptions options;
+    options.durability.dir = dir.path();
+    options.durability.sync_every = 1;
+    options.durability.simulate_sync = true;
+    options.durability.faults.crash_at = c.crash_at;
+    options.durability.faults.torn_keep = c.torn_keep;
+    Instance base = MustBase("e1(0, 1).");
+    auto srv = server::Server::Create(program_, &engine_.catalog(),
+                                      &engine_.symbols(), base, options);
+    ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+    server::ScheduleRun run = server::RunSessions(srv->get(), ops, {});
+    ASSERT_TRUE(run.ok) << run.error;
+    ASSERT_TRUE((*srv)->store()->crashed());
+    EXPECT_EQ((*srv)->store()->faults().crash_point, c.point);
+
+    // Epochs 1 and 2 were acked; epoch 3's client got the crash as an
+    // error but its record may be on disk; epoch 4 was refused by the
+    // dead store before touching the log, so it is neither.
+    ASSERT_EQ(run.acked.size(), 2u);
+    EXPECT_EQ(run.acked[0].epoch, 1);
+    EXPECT_EQ(run.acked[1].epoch, 2);
+    ASSERT_TRUE(run.in_doubt.has_value());
+    EXPECT_EQ(run.in_doubt->epoch, run.acked.back().epoch + 1);
+    EXPECT_EQ(run.in_doubt->update_tokens, "+e1(3,4)");
+    EXPECT_EQ((*srv)->epoch(), 2);
+    srv->reset();
+
+    Result<store::Recovered> recovered = Recover(
+        dir.path(), program_, engine_.catalog(), &engine_.symbols(), base);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_GE(recovered->epoch, 2);
+    EXPECT_LE(recovered->epoch, run.in_doubt->epoch);
+    std::vector<std::string> prefix = {"+e1(1,2)", "+e1(2,3)"};
+    if (recovered->epoch == 3) prefix.push_back("+e1(3,4)");
+    EXPECT_EQ(recovered->view->model().SerializeSnapshot(),
+              ReplayModel("e1(0, 1).", prefix));
+  }
+}
+
 // -- Oracle pair #11 and the planted skip-truncate bug ------------------
 
 constexpr const char* kDurFacts =
@@ -822,6 +891,65 @@ TEST(ServerDurabilityTest, RestartRecoversAndContinuesTheEpochSequence) {
     ASSERT_TRUE((*view)->ApplyBatch(batch).ok());
   }
   EXPECT_EQ(snapshot.body, (*view)->model().SerializeSnapshot());
+}
+
+// -- Soak: a long-running durable server keeps bounded state ------------
+
+TEST(ServerDurabilityTest, SoakKeepsRetainedStateBounded) {
+  // 4096 commits toggling one private edge through the scheduler-driven
+  // surface, with a snapshot every 32 commits. Nothing the server and
+  // its store keep may grow with the commit count: one live snapshot and
+  // no pins, the WAL within one compaction window, the durable epoch
+  // within one window of the published one, and compaction still
+  // cutting snapshots.
+  constexpr int kCommits = 4096;
+  constexpr int kCheckEvery = 512;
+  constexpr int kSnapshotEvery = 32;
+  ScratchDir dir;
+  server::ServerOptions options;
+  options.durability.dir = dir.path();
+  options.durability.sync_every = 1;
+  options.durability.snapshot_every = kSnapshotEvery;
+  options.durability.simulate_sync = true;
+
+  Engine engine;
+  Result<Program> program = engine.Parse(kTcProgram);
+  ASSERT_TRUE(program.ok());
+  Instance base(&engine.catalog());
+  ASSERT_TRUE(engine.AddFacts("e1(0, 1). e1(1, 2). e1(2, 3).", &base).ok());
+  auto srv = server::Server::Create(*program, &engine.catalog(),
+                                    &engine.symbols(), base, options);
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  server::Server& server = **srv;
+  const store::DurableStore& st = *server.store();
+
+  int64_t first_record_bytes = 0;
+  int64_t last_snapshots = 0;
+  for (int i = 1; i <= kCommits; ++i) {
+    const std::string tokens = std::string(i % 2 == 1 ? "+" : "-") + "e1(8,9)";
+    Result<int64_t> ticket = server.SubmitUpdate(tokens);
+    ASSERT_TRUE(ticket.ok());
+    ASSERT_TRUE(server.ApplyOneQueued());
+    server::Response response;
+    ASSERT_TRUE(server.UpdateOutcome(*ticket, &response));
+    ASSERT_EQ(response.status, StatusCode::kOk) << response.error;
+    ASSERT_EQ(response.epoch, i);
+    if (i == 1) first_record_bytes = st.wal().size();
+    ASSERT_GT(first_record_bytes, 0);
+    // The WAL and durability bounds are cheap to read, so they hold after
+    // every commit — also mid-window, not only right after a compaction.
+    ASSERT_LE(st.wal().size(), kSnapshotEvery * first_record_bytes)
+        << "after " << i << " commits";
+    ASSERT_GE(st.durable_epoch(), server.epoch() - kSnapshotEvery)
+        << "after " << i << " commits";
+    if (i % kCheckEvery != 0) continue;
+    SCOPED_TRACE("after " + std::to_string(i) + " commits");
+    EXPECT_EQ(server.snapshots().live(), 1);
+    EXPECT_EQ(server.snapshots().pinned(), 0);
+    EXPECT_GT(st.snapshots(), last_snapshots);
+    last_snapshots = st.snapshots();
+  }
+  EXPECT_EQ(server.pending_updates(), 0);
 }
 
 }  // namespace

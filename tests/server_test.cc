@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -279,16 +281,27 @@ class ServerTest : public ::testing::Test {
     return std::move(*server);
   }
 
-  /// Replays `log` against a fresh IncrementalView of the same base and
-  /// returns the serialized model after all batches.
+  /// Replays the commits clients were acked, in epoch order, against a
+  /// fresh IncrementalView of the same base and returns the serialized
+  /// model after all batches. The acked epochs must be exactly 1..n:
+  /// every commit acked once, none lost.
   std::string ReplayAll(const std::string& facts_text,
-                        const std::vector<CommitRecord>& log) {
+                        std::vector<AckedCommit> acked) {
+    std::sort(acked.begin(), acked.end(),
+              [](const AckedCommit& a, const AckedCommit& b) {
+                return a.epoch < b.epoch;
+              });
     Instance base(&engine_.catalog());
     EXPECT_TRUE(engine_.AddFacts(facts_text, &base).ok());
     auto view = IncrementalView::Create(program_, engine_.catalog(), base);
     EXPECT_TRUE(view.ok()) << view.status().ToString();
-    for (const CommitRecord& commit : log) {
-      EXPECT_TRUE((*view)->ApplyBatch(commit.batch).ok());
+    for (size_t i = 0; i < acked.size(); ++i) {
+      EXPECT_EQ(acked[i].epoch, static_cast<int64_t>(i) + 1);
+      std::vector<FactUpdate> batch;
+      EXPECT_TRUE(ParseUpdateTokens(acked[i].update_tokens,
+                                    engine_.catalog(), &engine_.symbols(),
+                                    &batch));
+      EXPECT_TRUE((*view)->ApplyBatch(batch).ok());
     }
     return (*view)->model().SerializeSnapshot();
   }
@@ -325,20 +338,24 @@ TEST_F(ServerTest, UpdateCommitAdvancesTheEpoch) {
   EXPECT_EQ(done.epoch, 1);
   EXPECT_EQ(server->epoch(), 1);
 
+  // A settled ticket is read once: the server forgets it.
+  EXPECT_FALSE(server->UpdateOutcome(*ticket, &done));
+
   // The new model serves the transitively derived fact.
   const PredId t = engine_.catalog().Find("t");
   Response r = server->ServeQuery(Request{Request::Kind::kQuery, "t", 0,
                                           nullptr});
   ASSERT_EQ(r.status, StatusCode::kOk);
-  const std::vector<CommitRecord> log = server->CommitLog();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].epoch, 1);
-  // Served bytes match the sequential replay, restricted to t.
+  // Served bytes match the sequential replay of the acked batch,
+  // restricted to t.
   Instance base(&engine_.catalog());
   ASSERT_TRUE(engine_.AddFacts("e1(0, 1).", &base).ok());
   auto view = IncrementalView::Create(program_, engine_.catalog(), base);
   ASSERT_TRUE(view.ok());
-  ASSERT_TRUE((*view)->ApplyBatch(log[0].batch).ok());
+  std::vector<FactUpdate> batch;
+  ASSERT_TRUE(ParseUpdateTokens("+e1(1,2)", engine_.catalog(),
+                                &engine_.symbols(), &batch));
+  ASSERT_TRUE((*view)->ApplyBatch(batch).ok());
   EXPECT_EQ(r.body, (*view)->model().Restrict({t}).SerializeSnapshot());
 }
 
@@ -472,10 +489,13 @@ TEST_F(ServerTest, ScheduleQuiescesWithBalancedReclamation) {
   EXPECT_EQ(run.counters.reclaimed, run.counters.retired);
   EXPECT_EQ(run.counters.retired, run.counters.published - 1);
 
-  // Every epoch's published bytes equal the sequential replay.
-  ASSERT_EQ(run.epoch_bytes.size(), run.commits.size() + 1);
+  // Both updates were acked, nothing is in doubt, and the last epoch's
+  // published bytes equal the sequential replay of the acks.
+  ASSERT_EQ(run.acked.size(), 2u);
+  EXPECT_FALSE(run.in_doubt.has_value());
+  ASSERT_EQ(run.epoch_bytes.size(), run.acked.size() + 1);
   EXPECT_EQ(run.epoch_bytes.back(),
-            ReplayAll("e1(0, 1). e1(1, 2).", run.commits));
+            ReplayAll("e1(0, 1). e1(1, 2).", run.acked));
 }
 
 // -- Oracle pair #10 and the planted torn-read bug ----------------------
@@ -571,7 +591,7 @@ class ServerThreadedTest : public ServerTest {
  protected:
   /// Runs `writers` mutator clients and `readers` query clients against a
   /// Start()ed server, then checks the snapshot-isolation invariants and
-  /// the commit-log replay. Thread counts deliberately exceed
+  /// the replay of the writers' acks. Thread counts deliberately exceed
   /// num_readers so jobs queue up.
   void RunMixedLoad(int num_readers, int writers, int readers) {
     ServerOptions options;
@@ -580,6 +600,8 @@ class ServerThreadedTest : public ServerTest {
     server->Start();
 
     std::atomic<int> bad{0};
+    std::mutex acked_mu;
+    std::vector<AckedCommit> acked;
     std::vector<std::thread> clients;
     for (int w = 0; w < writers; ++w) {
       clients.emplace_back([&, w] {
@@ -589,7 +611,12 @@ class ServerThreadedTest : public ServerTest {
               std::to_string(20 + i) + ")";
           Response r = server->Call(
               Request{Request::Kind::kUpdate, tokens, 0, nullptr});
-          if (r.status != StatusCode::kOk || r.epoch < 1) bad.fetch_add(1);
+          if (r.status != StatusCode::kOk || r.epoch < 1) {
+            bad.fetch_add(1);
+            continue;
+          }
+          std::lock_guard<std::mutex> lock(acked_mu);
+          acked.push_back(AckedCommit{r.epoch, tokens});
         }
       });
     }
@@ -613,12 +640,12 @@ class ServerThreadedTest : public ServerTest {
     EXPECT_EQ(bad.load(), 0);
     EXPECT_EQ(server->epoch(), static_cast<int64_t>(writers) * 8);
 
-    // Byte-identity vs the sequential replay of the commit log.
+    // Byte-identity vs the sequential replay of the writers' acks.
     Response final_snapshot = server->ServeQuery(
         Request{Request::Kind::kSnapshotQuery, "", 0, nullptr});
     ASSERT_EQ(final_snapshot.status, StatusCode::kOk);
     EXPECT_EQ(final_snapshot.body,
-              ReplayAll("e1(0, 1). e1(1, 2).", server->CommitLog()));
+              ReplayAll("e1(0, 1). e1(1, 2).", acked));
 
     // Quiescent reclamation: one live snapshot, no pins, balanced
     // counters.
@@ -876,6 +903,7 @@ TEST_F(ServerThreadedTest, ServesOverLocalhostSockets) {
   ASSERT_TRUE(DecodeResponse(payload, &response));
   EXPECT_EQ(response.status, StatusCode::kOk);
   EXPECT_EQ(response.epoch, 1);
+  const AckedCommit ack{response.epoch, "+e1(1,2)"};
 
   ASSERT_TRUE(WriteFrame(
       client.get(),
@@ -884,7 +912,7 @@ TEST_F(ServerThreadedTest, ServesOverLocalhostSockets) {
   ASSERT_TRUE(ReadFrame(client.get(), &payload));
   ASSERT_TRUE(DecodeResponse(payload, &response));
   EXPECT_EQ(response.status, StatusCode::kOk);
-  EXPECT_EQ(response.body, ReplayAll("e1(0, 1).", server->CommitLog()));
+  EXPECT_EQ(response.body, ReplayAll("e1(0, 1).", {ack}));
 
   client->Close();
   (*listener)->Close();

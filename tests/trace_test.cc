@@ -4,13 +4,17 @@
 // against checked-in goldens. Any change to where the engines open spans
 // shows up here as a readable tree diff.
 //
-// Determinism notes: both runs force num_threads = 1 so every span lands
-// on thread 0 in program order, and tracing is enabled only after
-// parsing, so parser spans are not part of the tree.
+// The last case checks that rings of exited threads are reused.
+//
+// Determinism notes: the golden runs force num_threads = 1 so every
+// span lands on thread 0 in program order, and tracing is enabled only
+// after parsing, so parser spans are not part of the tree.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -104,6 +108,29 @@ TEST(GoldenTraceTest, FlipFlopBudgetExhaustionSpanTree) {
       "    noninflationary.stage stage=3\n"
       "    noninflationary.stage stage=4\n";
   EXPECT_EQ(tree, golden) << "actual tree:\n" << tree;
+}
+
+TEST(TraceRingReuseTest, SequentialThreadsShareOneRing) {
+  // Every evaluation starts fresh pool workers; each exiting thread must
+  // hand its ring on instead of leaving it allocated until the next
+  // Enable. 32 threads started and joined one after another record into
+  // at most two rings: the one they pass along, plus this thread's
+  // should it ever record.
+  obs::Tracer::Get().Enable(64);
+  for (int i = 0; i < 32; ++i) {
+    std::thread worker([i] { OBS_SPAN("reuse.span", {{"i", i}}); });
+    worker.join();
+  }
+  obs::Tracer::Get().Disable();
+  const std::vector<obs::TraceEvent> events = obs::Tracer::Get().Snapshot();
+  ASSERT_EQ(events.size(), 32u);
+  std::set<uint32_t> tids;
+  for (const obs::TraceEvent& e : events) {
+    tids.insert(e.tid);
+    EXPECT_EQ(e.depth, 0u);
+  }
+  EXPECT_LE(tids.size(), 2u);
+  EXPECT_EQ(obs::Tracer::Get().dropped(), 0);
 }
 
 }  // namespace
