@@ -164,13 +164,11 @@ struct EvalStats {
 /// Datalog¬¬ and Datalog¬new can diverge and rely on these.
 struct EvalOptions {
   /// Worker threads for data-parallel rule matching: 0 = one per hardware
-  /// thread, 1 = the exact sequential code path, N > 1 = a pool of N
-  /// workers (the calling thread plus N-1 spawned ones). Results and all
-  /// deterministic EvalStats counters are byte-identical at every
-  /// setting — parallel rounds stage per-chunk and merge in the
-  /// sequential order (see docs/execution.md). Engines that record
-  /// provenance fall back to the sequential path while a DerivationLog
-  /// is attached.
+  /// thread, 1 = no pool (the round's units run inline on the calling
+  /// thread), N > 1 = a pool of N workers (the calling thread plus N-1
+  /// spawned ones). Results, provenance and all deterministic EvalStats
+  /// counters are byte-identical at every setting — every round stages
+  /// per unit and merges in unit order (see docs/execution.md).
   int num_threads = 0;
   /// Maximum number of stages/rounds before giving up (kBudgetExhausted).
   int64_t max_rounds = 1'000'000;
@@ -190,10 +188,11 @@ struct EvalOptions {
   /// When non-null, engines poll this token alongside the deadline and
   /// return kCancelled once it is set. The token must outlive the run.
   const CancelToken* cancel = nullptr;
-  /// When non-null, the semi-naive/stratified/inflationary engines record
-  /// the first derivation of every fact here (see eval/provenance.h). The
-  /// well-founded engine ignores it (its inner fixpoints run on
-  /// over-/under-estimates whose derivations would be misleading).
+  /// When non-null, the naive/semi-naive/stratified/inflationary engines
+  /// record the first derivation of every fact here (see
+  /// eval/provenance.h). The well-founded engine ignores it (its inner
+  /// fixpoints run on over-/under-estimates whose derivations would be
+  /// misleading).
   DerivationLog* provenance = nullptr;
   /// Data-plane representation for the semi-naive delta path
   /// (docs/storage.md): kHash re-probes the persistent hash indexes

@@ -78,12 +78,12 @@ class EvalContext {
   /// options.provenance; kept as a member so engines no longer thread a
   /// third parameter around).
   DerivationLog* provenance = nullptr;
-  /// When set, the sequential semi-naive sinks invoke this for every
-  /// fact the moment it is first derived (rule index, head predicate,
-  /// instantiated head tuple) — the seeding hook IncrementalView uses to
-  /// collect per-fact derivation counts during the initial evaluation.
-  /// Only honored on the sequential generic path (attach provenance to
-  /// force it); parallel and columnar paths ignore it.
+  /// When set, the unit-path merge (eval/parallel.h) invokes this for
+  /// every match that produced a fact absent from the database (rule
+  /// index, head predicate, instantiated head tuple), in unit order on the
+  /// evaluating thread — the seeding hook IncrementalView uses to collect
+  /// per-fact derivation counts during the initial evaluation. The
+  /// columnar delta rounds ignore it.
   std::function<void(size_t, PredId, const Tuple&)> on_derivation;
   /// Whether this context publishes its final stats to the global
   /// obs::MetricsRegistry on destruction (when metrics collection is
@@ -101,9 +101,9 @@ class EvalContext {
 
   /// The worker pool for data-parallel rule matching, created on first
   /// call from options.num_threads (0 = hardware concurrency). Returns
-  /// nullptr when the evaluation is single-threaded — engines then take
-  /// the exact sequential code path. The pool lives as long as the
-  /// context, so strata/rounds reuse the same workers.
+  /// nullptr when the evaluation is single-threaded — FanOut then runs
+  /// the same units inline. The pool lives as long as the context, so
+  /// strata/rounds reuse the same workers.
   ThreadPool* pool();
 
   /// Cooperative interruption gate, polled by every engine at its round

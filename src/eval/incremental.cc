@@ -122,11 +122,12 @@ void IncrementalView::PrepareRules() {
 Status IncrementalView::InitialEvaluate(const EvalOptions& options) {
   OBS_SPAN("incremental.initial");
   EvalOptions opts = options;
-  // The maintenance algorithms are sequential and index-driven; pinning
-  // the initial run to the sequential hash path (provenance attached
-  // forces the generic sinks that honor on_derivation) makes the view's
-  // state — model, counts, provenance, stats — byte-identical across
-  // thread counts and storage backends.
+  // The maintenance algorithms are sequential and index-driven, so the
+  // initial run gets no pool either. It stays on the hash path because
+  // the columnar delta rounds record neither provenance nor
+  // on_derivation; the unit-path merge replays both in first-derivation
+  // order, so the view's state — model, counts, provenance, stats — is
+  // byte-identical across thread counts and storage backends.
   opts.num_threads = 1;
   opts.storage = storage::StorageBackend::kHash;
   opts.provenance = &provenance_;

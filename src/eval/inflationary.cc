@@ -4,7 +4,6 @@
 
 #include "eval/grounder.h"
 #include "eval/parallel.h"
-#include "eval/provenance.h"
 #include "obs/trace.h"
 
 namespace datalog {
@@ -35,15 +34,7 @@ Result<InflationaryResult> InflationaryFixpoint(const Program& program,
     matchers.emplace_back(&rule);
   }
 
-  // Provenance recording is sequential by nature; such runs take the
-  // exact sequential path below.
-  ThreadPool* pool = ctx->provenance == nullptr ? ctx->pool() : nullptr;
-  const std::function<bool()> stop = ctx->StopProbe();
-  std::vector<MatchUnit> units(matchers.size());
-  for (size_t i = 0; i < matchers.size(); ++i) {
-    units[i].matcher = static_cast<int>(i);
-    units[i].rule_index = static_cast<int>(i);
-  }
+  const std::vector<MatchUnit> units = RuleUnits(program, matchers);
 
   InflationaryResult result(input);
   Instance& db = result.instance;
@@ -67,41 +58,16 @@ Result<InflationaryResult> InflationaryFixpoint(const Program& program,
     const std::vector<Value>& adom = ctx->Adom(program, db);
     Instance fresh(&input.catalog());
     DbView view{&db, &db};
-    const int stage = result.stages + 1;
-    if (pool != nullptr) {
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // An interrupt drains the remaining pool chunks without running
-      // them, so the outputs may be missing whole units — an empty stage
-      // would misread as the fixpoint. Report the interruption instead
-      // (caller finalizes, as for the loop-top check above).
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        return interrupted;
-      }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
-    } else {
-      for (size_t ri = 0; ri < matchers.size(); ++ri) {
-        const RuleMatcher& matcher = matchers[ri];
-        const Atom& head = matcher.rule().heads[0].atom;
-        const Relation& head_rel = db.Rel(head.pred);
-        matcher.ForEachMatch(
-            view, adom, &ctx->index, [&](const Valuation& val) -> bool {
-              Tuple t = InstantiateAtom(head, val);
-              bool produced = !head_rel.Contains(t);
-              st.CountMatch(ri, produced);
-              if (produced) {
-                if (ctx->provenance != nullptr) {
-                  ctx->provenance->Record(
-                      head.pred, t, static_cast<int>(ri), stage,
-                      InstantiateBodyPremises(matcher.rule(), val));
-                }
-                fresh.Insert(head.pred, std::move(t));
-              }
-              return true;
-            });
-      }
+    std::vector<UnitOutput> outputs;
+    // An interrupted stage is discarded; the caller finalizes, as for the
+    // loop-top check above.
+    if (Status interrupted = RunProductionUnits(ctx, matchers, units, view,
+                                                adom, &outputs);
+        !interrupted.ok()) {
+      return interrupted;
     }
+    MergeProductionUnits(ctx, matchers, units, result.stages + 1, &outputs,
+                         &fresh);
     if (fresh.TotalFacts() == 0) {
       ctx->FinishRound();
       break;

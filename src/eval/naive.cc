@@ -38,15 +38,7 @@ Result<Instance> NaiveLeastFixpoint(const Program& program,
     matchers.emplace_back(&rule);
   }
 
-  // The naive engine never records provenance, so any configured pool
-  // applies; units are whole rules (no delta to chunk).
-  ThreadPool* pool = ctx->pool();
-  const std::function<bool()> stop = ctx->StopProbe();
-  std::vector<MatchUnit> units(matchers.size());
-  for (size_t i = 0; i < matchers.size(); ++i) {
-    units[i].matcher = static_cast<int>(i);
-    units[i].rule_index = static_cast<int>(i);
-  }
+  const std::vector<MatchUnit> units = RuleUnits(program, matchers);
 
   Instance db = input;
   while (true) {
@@ -69,34 +61,15 @@ Result<Instance> NaiveLeastFixpoint(const Program& program,
     const std::vector<Value>& adom = ctx->Adom(program, db);
     Instance fresh(&input.catalog());
     DbView view{&db, fixed_negation != nullptr ? fixed_negation : &db};
-    if (pool != nullptr) {
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // An interrupt drains the remaining pool chunks without running
-      // them, so the outputs may be missing whole units — an empty round
-      // would misread as the fixpoint. Report the interruption instead
-      // (caller finalizes, as for the loop-top check above).
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        return interrupted;
-      }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
-    } else {
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        const Atom& head = matchers[i].rule().heads[0].atom;
-        const Relation& head_rel = db.Rel(head.pred);
-        matchers[i].ForEachMatch(view, adom, &ctx->index,
-                                 [&](const Valuation& val) -> bool {
-                                   Tuple t = InstantiateAtom(head, val);
-                                   bool produced = !head_rel.Contains(t);
-                                   st.CountMatch(i, produced);
-                                   if (produced) {
-                                     fresh.Insert(head.pred, std::move(t));
-                                   }
-                                   return true;
-                                 });
-      }
+    std::vector<UnitOutput> outputs;
+    // An interrupted round is discarded; the caller finalizes, as for the
+    // loop-top check above.
+    if (Status interrupted = RunProductionUnits(ctx, matchers, units, view,
+                                                adom, &outputs);
+        !interrupted.ok()) {
+      return interrupted;
     }
+    MergeProductionUnits(ctx, matchers, units, st.rounds, &outputs, &fresh);
     size_t added = db.UnionWith(fresh);
     st.facts_derived += static_cast<int64_t>(added);
     ctx->FinishRound();

@@ -3,8 +3,8 @@
 #include <cassert>
 #include <unordered_map>
 
-#include "base/thread_pool.h"
 #include "eval/grounder.h"
+#include "eval/parallel.h"
 #include "obs/trace.h"
 
 namespace datalog {
@@ -80,101 +80,71 @@ Result<NonInflationaryResult> NonInflationaryFixpoint(
     Instance deletes(&input.catalog());
     DbView view{&db, &db};
     const std::vector<Value>& adom = ctx->Adom(program, db);
-    ThreadPool* pool = ctx->pool();
-    if (pool != nullptr) {
-      // Multi-head staging: record every head instantiation in match
-      // order (tagged insert/delete), then replay rule by rule so the
-      // inserts/deletes instances get the sequential insertion order.
-      struct RuleStage {
-        struct Head {
-          PredId pred;
-          Tuple tuple;
-          bool is_delete;
-        };
-        std::vector<Head> heads;
-        int64_t matches = 0;
-        int64_t produced = 0;
+    // Multi-head staging: record every head instantiation in match order
+    // (tagged insert/delete), then replay them rule by rule, so the
+    // inserts and deletes instances fill in the same order with or
+    // without a pool.
+    struct RuleStage {
+      struct Head {
+        PredId pred;
+        Tuple tuple;
+        bool is_delete;
       };
-      std::vector<RuleStage> staged(matchers.size());
+      std::vector<Head> heads;
+      int64_t matches = 0;
+      int64_t produced = 0;
+    };
+    std::vector<RuleStage> staged(matchers.size());
 #ifndef NDEBUG
-      const uint64_t frozen_gen = db.Generation();
+    const uint64_t frozen_gen = db.Generation();
 #endif
-      ctx->index.BeginParallel();
-      pool->ParallelFor(
-          matchers.size(), /*chunk_size=*/1,
-          [&](size_t begin, size_t end, int /*worker*/) {
-            for (size_t ri = begin; ri < end; ++ri) {
-              const RuleMatcher& matcher = matchers[ri];
-              const Rule& rule = matcher.rule();
-              RuleStage& stage = staged[ri];
-              matcher.ForEachMatch(
-                  view, adom, &ctx->index, [&](const Valuation& val) -> bool {
-                    bool produced = false;
-                    for (const Literal& head : rule.heads) {
-                      Tuple t = InstantiateAtom(head.atom, val);
-                      if (!head.negative &&
-                          !db.Contains(head.atom.pred, t)) {
-                        produced = true;
-                      }
-                      stage.heads.push_back(RuleStage::Head{
-                          head.atom.pred, std::move(t), head.negative});
-                    }
-                    ++stage.matches;
-                    if (produced) ++stage.produced;
-                    return true;
-                  });
-            }
-          },
-          ctx->StopProbe());
-      ctx->index.EndParallel();
-      assert(db.Generation() == frozen_gen &&
-             "frozen database mutated during a parallel matching region");
-      // An interrupt drains the remaining pool chunks, so whole rules may
-      // be missing from `staged`. Reconciling a partial round would be
-      // outright wrong here (deletions make this engine non-monotone) —
-      // report the interruption and discard the round instead.
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        ctx->Finalize();
-        return interrupted;
+    FanOut(
+        ctx->pool(), &ctx->index, matchers.size(), /*chunk_size=*/1,
+        [&](size_t ri) {
+          const RuleMatcher& matcher = matchers[ri];
+          const Rule& rule = matcher.rule();
+          RuleStage& stage = staged[ri];
+          matcher.ForEachMatch(
+              view, adom, &ctx->index, [&](const Valuation& val) -> bool {
+                bool produced = false;
+                for (const Literal& head : rule.heads) {
+                  Tuple t = InstantiateAtom(head.atom, val);
+                  if (!head.negative && !db.Contains(head.atom.pred, t)) {
+                    produced = true;
+                  }
+                  stage.heads.push_back(
+                      RuleStage::Head{head.atom.pred, std::move(t),
+                                      head.negative});
+                }
+                ++stage.matches;
+                if (produced) ++stage.produced;
+                return true;
+              });
+        },
+        ctx->StopProbe());
+    assert(db.Generation() == frozen_gen &&
+           "frozen database mutated during a matching round");
+    // An interrupt skips the remaining rules, so whole rules may be
+    // missing from `staged`. Reconciling a partial round would be outright
+    // wrong here (deletions make this engine non-monotone) — report the
+    // interruption and discard the round instead.
+    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
+      ctx->Finalize();
+      return interrupted;
+    }
+    for (size_t ri = 0; ri < staged.size(); ++ri) {
+      RuleStage& stage = staged[ri];
+      st.instantiations += stage.matches;
+      if (ri < st.per_rule.size()) {
+        st.per_rule[ri].matches += stage.matches;
+        st.per_rule[ri].tuples_produced += stage.produced;
       }
-      for (size_t ri = 0; ri < staged.size(); ++ri) {
-        RuleStage& stage = staged[ri];
-        st.instantiations += stage.matches;
-        if (ri < st.per_rule.size()) {
-          st.per_rule[ri].matches += stage.matches;
-          st.per_rule[ri].tuples_produced += stage.produced;
+      for (RuleStage::Head& h : stage.heads) {
+        if (h.is_delete) {
+          deletes.Insert(h.pred, std::move(h.tuple));
+        } else {
+          inserts.Insert(h.pred, std::move(h.tuple));
         }
-        for (RuleStage::Head& h : stage.heads) {
-          if (h.is_delete) {
-            deletes.Insert(h.pred, std::move(h.tuple));
-          } else {
-            inserts.Insert(h.pred, std::move(h.tuple));
-          }
-        }
-      }
-    } else {
-      for (size_t ri = 0; ri < matchers.size(); ++ri) {
-        const RuleMatcher& matcher = matchers[ri];
-        const Rule& rule = matcher.rule();
-        matcher.ForEachMatch(view, adom, &ctx->index,
-                             [&](const Valuation& val) -> bool {
-                               bool produced = false;
-                               for (const Literal& head : rule.heads) {
-                                 Tuple t = InstantiateAtom(head.atom, val);
-                                 if (head.negative) {
-                                   deletes.Insert(head.atom.pred,
-                                                  std::move(t));
-                                 } else {
-                                   if (!db.Contains(head.atom.pred, t)) {
-                                     produced = true;
-                                   }
-                                   inserts.Insert(head.atom.pred,
-                                                  std::move(t));
-                                 }
-                               }
-                               st.CountMatch(ri, produced);
-                               return true;
-                             });
       }
     }
 

@@ -5,11 +5,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "base/thread_pool.h"
 #include "eval/columnar.h"
 #include "eval/grounder.h"
 #include "eval/parallel.h"
-#include "eval/provenance.h"
 #include "eval/test_hooks.h"
 #include "obs/trace.h"
 
@@ -51,15 +49,10 @@ Result<int64_t> SemiNaiveStep(const Program& program,
   const std::unordered_set<PredId> recursive(recursive_preds.begin(),
                                              recursive_preds.end());
 
-  // Provenance recording is inherently sequential (first-derivation order
-  // is the record); those runs take the exact sequential path below.
-  ThreadPool* pool = ctx->provenance == nullptr ? ctx->pool() : nullptr;
-  const std::function<bool()> stop = ctx->StopProbe();
-
   // Columnar backend (docs/storage.md): round 0 runs the generic full
   // evaluation either way, but the delta rounds below are replaced by
   // merge joins over sorted runs. Provenance runs stay on the generic
-  // sequential path — first-derivation order is the record.
+  // unit path, whose merge replays the first derivations.
   std::unique_ptr<columnar::DeltaEngine> columnar_engine;
   if (ctx->options.storage == storage::StorageBackend::kColumnar &&
       ctx->provenance == nullptr) {
@@ -68,137 +61,84 @@ Result<int64_t> SemiNaiveStep(const Program& program,
   }
 
   int64_t total_added = 0;
+  // Every early exit — interrupt or budget — still reports the facts
+  // derived so far through finalized stats: callers read LastRunStats to
+  // see how far the run got.
+  auto stop_with = [&](Status status) {
+    st.facts_derived += total_added;
+    ctx->Finalize();
+    return status;
+  };
+  // One round: match `units` against the frozen `db`, then stage the
+  // facts that were new to it in `fresh`, in unit order.
+  auto produce = [&](const std::vector<MatchUnit>& units, int stage,
+                     Instance* fresh) {
+    const std::vector<Value>& adom = ctx->Adom(program, *db);
+    const DbView view{db, db};
+    std::vector<UnitOutput> outputs;
+    Status interrupted =
+        RunProductionUnits(ctx, matchers, units, view, adom, &outputs);
+    if (interrupted.ok()) {
+      MergeProductionUnits(ctx, matchers, units, stage, &outputs, fresh);
+    }
+    return interrupted;
+  };
+
+  // The recursive facts a hash-path round added: the next round's delta.
+  std::unordered_map<PredId, Relation> delta;
+  auto take_delta = [&](const Instance& fresh) {
+    delta.clear();
+    for (PredId p : recursive_preds) {
+      const Relation& rel = fresh.Rel(p);
+      if (!rel.empty()) delta.emplace(p, rel);
+    }
+  };
 
   // Round 0: full evaluation of every rule against the current database.
-  std::unordered_map<PredId, Relation> delta;
   {
     ctx->StartRound();
     OBS_SPAN("seminaive.round", {{"round", st.rounds + 1}});
-    const std::vector<Value>& adom = ctx->Adom(program, *db);
     Instance fresh(&db->catalog());
-    DbView view{db, db};
-    const int stage = st.rounds + 1;
-    if (pool != nullptr) {
-      std::vector<MatchUnit> units(matchers.size());
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        units[i].matcher = static_cast<int>(i);
-        units[i].rule_index = rule_indexes[i];
-      }
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // An interrupt drains the remaining pool chunks without running
-      // them, so the outputs may be missing whole units — an empty round
-      // would misread as the fixpoint. Report the interruption instead.
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return interrupted;
-      }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
-    } else {
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        OBS_SPAN("seminaive.rule", {{"rule", rule_indexes[i]}});
-        const Atom& head = rules[i]->heads[0].atom;
-        const Relation& head_rel = db->Rel(head.pred);
-        matchers[i].ForEachMatch(
-            view, adom, &ctx->index, [&](const Valuation& val) -> bool {
-              Tuple t = InstantiateAtom(head, val);
-              bool produced = !head_rel.Contains(t);
-              st.CountMatch(rule_indexes[i], produced);
-              if (produced) {
-                if (ctx->provenance != nullptr) {
-                  ctx->provenance->Record(
-                      head.pred, t, rule_indexes[i], stage,
-                      InstantiateBodyPremises(*rules[i], val));
-                }
-                if (ctx->on_derivation) {
-                  ctx->on_derivation(static_cast<size_t>(rule_indexes[i]),
-                                     head.pred, t);
-                }
-                fresh.Insert(head.pred, std::move(t));
-              }
-              return true;
-            });
-      }
+    if (Status interrupted =
+            produce(RuleUnits(program, matchers), st.rounds + 1, &fresh);
+        !interrupted.ok()) {
+      return stop_with(interrupted);
     }
     ++st.rounds;
     if (columnar_engine != nullptr) {
       columnar_engine->SeedDelta(fresh);
     } else {
-      for (PredId p : recursive_preds) {
-        const Relation& rel = fresh.Rel(p);
-        if (!rel.empty()) delta.emplace(p, rel);
-      }
+      take_delta(fresh);
     }
     total_added += static_cast<int64_t>(db->UnionWith(fresh));
     ctx->FinishRound();
   }
 
-  // Columnar delta rounds: same budget/interrupt contract as the hash
-  // loop below, but each round is one DeltaEngine::Round — merge joins
-  // and bitmap semijoins over sorted runs, candidates staged flat, new
-  // facts inserted at end of round. Runs on the evaluating thread: deltas
-  // are small, and determinism across thread counts is then structural.
-  if (columnar_engine != nullptr) {
-    while (columnar_engine->HasDelta()) {
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return interrupted;
-      }
-      if (++st.rounds > ctx->options.max_rounds) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return Status::BudgetExhausted(
-            "semi-naive evaluation exceeded " +
-            std::to_string(ctx->options.max_rounds) + " rounds");
-      }
-      ctx->StartRound();
-      OBS_SPAN("seminaive.round", {{"round", st.rounds}});
-      total_added += columnar_engine->Round(
-          program, db, ctx, internal::g_seminaive_skip_delta_rule);
-      ctx->FinishRound();
-      if (static_cast<int64_t>(db->TotalFacts()) > ctx->options.max_facts) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return Status::BudgetExhausted(
-            "semi-naive evaluation exceeded fact budget");
-      }
-    }
-    st.facts_derived += total_added;
-    return total_added;
-  }
-
-  // Delta rounds. The persistent indexes over `db` are refreshed by
-  // appending each round's journal tail — no per-round rebuild.
-  while (!delta.empty()) {
+  // Delta rounds, on the columnar backend or the hash indexes. The
+  // persistent indexes over `db` are refreshed by appending each round's
+  // journal tail — no per-round rebuild.
+  while (columnar_engine != nullptr ? columnar_engine->HasDelta()
+                                    : !delta.empty()) {
     if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      // Deadline/cancellation follows the budget contract: report the
-      // facts derived so far through finalized stats.
-      st.facts_derived += total_added;
-      ctx->Finalize();
-      return interrupted;
+      return stop_with(interrupted);
     }
     if (++st.rounds > ctx->options.max_rounds) {
-      // Budget-exhausted runs still report the facts derived so far:
-      // callers read LastRunStats to see how far the run got.
-      st.facts_derived += total_added;
-      ctx->Finalize();
-      return Status::BudgetExhausted("semi-naive evaluation exceeded " +
-                                     std::to_string(ctx->options.max_rounds) +
-                                     " rounds");
+      return stop_with(Status::BudgetExhausted(
+          "semi-naive evaluation exceeded " +
+          std::to_string(ctx->options.max_rounds) + " rounds"));
     }
     ctx->StartRound();
     OBS_SPAN("seminaive.round", {{"round", st.rounds}});
-    const std::vector<Value>& adom = ctx->Adom(program, *db);
-    Instance fresh(&db->catalog());
-    DbView view{db, db};
-    const int stage = st.rounds;
-    if (pool != nullptr) {
+    if (columnar_engine != nullptr) {
+      // Merge joins and bitmap semijoins over sorted runs, candidates
+      // staged flat, new facts inserted at end of round. Runs on the
+      // evaluating thread: deltas are small, and determinism across
+      // thread counts is then structural.
+      total_added += columnar_engine->Round(
+          program, db, ctx, internal::g_seminaive_skip_delta_rule);
+    } else {
       // Flatten each delta relation once; units chunk these lists in the
-      // sequential (rule, literal, chunk) order so the staged merge
-      // replays the sequential insertion order.
+      // (rule, literal, chunk) order the merge replays.
       std::unordered_map<PredId, std::vector<const Tuple*>> delta_lists;
       for (const auto& [p, rel] : delta) delta_lists.emplace(p, TupleList(rel));
       std::vector<MatchUnit> units;
@@ -212,67 +152,21 @@ Result<int64_t> SemiNaiveStep(const Program& program,
           auto dit = delta_lists.find(lit.atom.pred);
           if (dit == delta_lists.end()) continue;
           AppendDeltaUnits(static_cast<int>(i), rule_indexes[i],
-                           static_cast<int>(li), dit->second,
-                           pool->num_workers(), &units);
+                           static_cast<int>(li), dit->second, &units);
         }
       }
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // See round 0: drained units must not be mistaken for quiescence.
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return interrupted;
+      Instance fresh(&db->catalog());
+      if (Status interrupted = produce(units, st.rounds, &fresh);
+          !interrupted.ok()) {
+        return stop_with(interrupted);
       }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
-    } else {
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        if (rule_indexes[i] == internal::g_seminaive_skip_delta_rule) continue;
-        OBS_SPAN("seminaive.rule", {{"rule", rule_indexes[i]}});
-        const Rule& rule = *rules[i];
-        const Atom& head = rule.heads[0].atom;
-        const Relation& head_rel = db->Rel(head.pred);
-        auto sink = [&](const Valuation& val) -> bool {
-          Tuple t = InstantiateAtom(head, val);
-          bool produced = !head_rel.Contains(t);
-          st.CountMatch(rule_indexes[i], produced);
-          if (produced) {
-            if (ctx->provenance != nullptr) {
-              ctx->provenance->Record(head.pred, t, rule_indexes[i], stage,
-                                      InstantiateBodyPremises(rule, val));
-            }
-            if (ctx->on_derivation) {
-              ctx->on_derivation(static_cast<size_t>(rule_indexes[i]),
-                                 head.pred, t);
-            }
-            fresh.Insert(head.pred, std::move(t));
-          }
-          return true;
-        };
-        for (size_t li = 0; li < rule.body.size(); ++li) {
-          const Literal& lit = rule.body[li];
-          if (lit.kind != Literal::Kind::kRelational || lit.negative) continue;
-          if (!recursive.count(lit.atom.pred)) continue;
-          auto dit = delta.find(lit.atom.pred);
-          if (dit == delta.end()) continue;
-          matchers[i].ForEachMatch(view, adom, &ctx->index,
-                                   static_cast<int>(li), &dit->second, sink);
-        }
-      }
+      take_delta(fresh);
+      total_added += static_cast<int64_t>(db->UnionWith(fresh));
     }
-    delta.clear();
-    for (PredId p : recursive_preds) {
-      const Relation& rel = fresh.Rel(p);
-      if (!rel.empty()) delta.emplace(p, rel);
-    }
-    total_added += static_cast<int64_t>(db->UnionWith(fresh));
     ctx->FinishRound();
     if (static_cast<int64_t>(db->TotalFacts()) > ctx->options.max_facts) {
-      st.facts_derived += total_added;
-      ctx->Finalize();
-      return Status::BudgetExhausted(
-          "semi-naive evaluation exceeded fact budget");
+      return stop_with(
+          Status::BudgetExhausted("semi-naive evaluation exceeded fact budget"));
     }
   }
   st.facts_derived += total_added;

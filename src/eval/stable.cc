@@ -1,13 +1,11 @@
 #include "eval/stable.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <utility>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "eval/naive.h"
+#include "eval/parallel.h"
 #include "eval/wellfounded.h"
 #include "obs/trace.h"
 
@@ -61,67 +59,55 @@ Result<StableModelsResult> StableModels(const Program& program,
     return candidate;
   };
 
-  ThreadPool* pool = ctx->pool();
-  if (pool != nullptr) {
-    // Fan the Gelfond–Lifschitz checks over the pool: candidates are
-    // independent, so each worker evaluates its masks with a private
-    // sub-context (forced single-threaded — no nested pools) and stages
-    // the verdict plus the scalar counters the sequential loop would have
-    // merged. The merge below walks masks in ascending order, so models,
-    // stats, and the stop-at-first-error behaviour are byte-identical to
-    // the sequential loop.
-    struct CandTally {
-      int64_t facts_derived = 0;
-      int64_t instantiations = 0;
-      int64_t index_hits = 0;
-      int64_t index_builds = 0;
-      int64_t index_rebuilds = 0;
-      int64_t index_appended = 0;
-    };
-    std::vector<uint8_t> stable(combinations, 0);
-    std::vector<CandTally> tallies(combinations);
-    std::mutex failures_mu;
-    std::map<uint64_t, Status> failures;
-    EvalOptions cand_options = ctx->options;
-    cand_options.num_threads = 1;
-    cand_options.provenance = nullptr;
-    const size_t chunk = std::max<size_t>(
-        1, static_cast<size_t>(combinations) /
-               (static_cast<size_t>(pool->num_workers()) * 8));
-    // The workers copy `wf->true_facts` and read `input` concurrently;
-    // fold any staged columnar rows on this thread first — lazy
-    // materialization must not race (see Relation::MaterializeStaged).
-    wf->true_facts.MaterializeStaged();
-    input.MaterializeStaged();
-    pool->ParallelFor(
-        static_cast<size_t>(combinations), chunk,
-        [&](size_t begin, size_t end, int /*worker*/) {
-          for (size_t m = begin; m < end; ++m) {
-            const uint64_t mask = static_cast<uint64_t>(m);
-            OBS_SPAN("stable.candidate",
-                     {{"mask", static_cast<int64_t>(mask)}});
-            Instance candidate = build_candidate(mask);
-            EvalContext cand_ctx(cand_options);
-            // The tally merge below folds this sub-context into `ctx` —
-            // publishing it separately would double-count every event.
-            cand_ctx.publish_metrics = false;
-            // Sub-evaluations share the run's absolute deadline rather
-            // than restarting the clock per candidate.
-            cand_ctx.InheritDeadline(*ctx);
-            Result<Instance> reduct_lfp =
-                NaiveLeastFixpoint(program, input, &candidate, &cand_ctx);
-            if (!reduct_lfp.ok()) {
-              std::lock_guard<std::mutex> lock(failures_mu);
-              failures.emplace(mask, reduct_lfp.status());
-              continue;
-            }
-            cand_ctx.Finalize();
-            const EvalStats& cs = cand_ctx.stats;
-            tallies[m] = CandTally{cs.facts_derived,  cs.instantiations,
-                                   cs.index_hits,     cs.index_builds,
-                                   cs.index_rebuilds, cs.index_appended};
-            if (*reduct_lfp == candidate) stable[m] = 1;
+  // Gelfond–Lifschitz check of each candidate: S(M) == M, where S
+  // evaluates the positive part to a least fixpoint with negations fixed
+  // against M. Candidates are independent, so each gets a private
+  // single-threaded sub-context (indexes over one candidate are useless
+  // for the next, and pools do not nest). The checks of one block of
+  // masks fan out over the pool and merge in mask order, so models, stats
+  // and the stop-at-first-error behaviour never depend on the pool, and
+  // the staged verdicts stay bounded by the block.
+  struct Check {
+    Status status;
+    EvalStats stats;
+    bool stable = false;
+  };
+  EvalOptions cand_options = ctx->options;
+  cand_options.num_threads = 1;
+  cand_options.provenance = nullptr;
+  // Pool workers copy `wf->true_facts` and read `input` concurrently;
+  // fold any staged columnar rows on this thread first — lazy
+  // materialization must not race (see Relation::MaterializeStaged).
+  wf->true_facts.MaterializeStaged();
+  input.MaterializeStaged();
+  constexpr uint64_t kBlock = 1024;
+  std::vector<Check> checks;
+  for (uint64_t first = 0; first < combinations; first += kBlock) {
+    checks.assign(static_cast<size_t>(std::min(kBlock, combinations - first)),
+                  Check{});
+    FanOut(
+        ctx->pool(), /*index=*/nullptr, checks.size(), /*chunk_size=*/1,
+        [&](size_t i) {
+          const uint64_t mask = first + i;
+          OBS_SPAN("stable.candidate", {{"mask", static_cast<int64_t>(mask)}});
+          Instance candidate = build_candidate(mask);
+          EvalContext cand_ctx(cand_options);
+          // The merge below folds this sub-context into `ctx` —
+          // publishing it separately would double-count every event.
+          cand_ctx.publish_metrics = false;
+          // Sub-evaluations share the run's absolute deadline rather than
+          // restarting the clock per candidate.
+          cand_ctx.InheritDeadline(*ctx);
+          Result<Instance> reduct_lfp =
+              NaiveLeastFixpoint(program, input, &candidate, &cand_ctx);
+          Check& check = checks[i];
+          if (!reduct_lfp.ok()) {
+            check.status = reduct_lfp.status();
+            return;
           }
+          cand_ctx.Finalize();
+          check.stats = std::move(cand_ctx.stats);
+          check.stable = *reduct_lfp == candidate;
         },
         ctx->StopProbe());
     // An interrupt may have skipped whole candidates, so the staged
@@ -130,49 +116,14 @@ Result<StableModelsResult> StableModels(const Program& program,
       ctx->Finalize();
       return interrupted;
     }
-    for (uint64_t mask = 0; mask < combinations; ++mask) {
+    for (size_t i = 0; i < checks.size(); ++i) {
       ++out.candidates_checked;
-      auto fit = failures.find(mask);
-      if (fit != failures.end()) return fit->second;
-      const CandTally& t = tallies[mask];
-      ctx->stats.facts_derived += t.facts_derived;
-      ctx->stats.instantiations += t.instantiations;
-      ctx->stats.index_hits += t.index_hits;
-      ctx->stats.index_builds += t.index_builds;
-      ctx->stats.index_rebuilds += t.index_rebuilds;
-      ctx->stats.index_appended += t.index_appended;
-      if (stable[mask]) out.models.push_back(build_candidate(mask));
-    }
-    return out;
-  }
-
-  for (uint64_t mask = 0; mask < combinations; ++mask) {
-    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      ctx->Finalize();
-      return interrupted;
-    }
-    ++out.candidates_checked;
-    OBS_SPAN("stable.candidate", {{"mask", static_cast<int64_t>(mask)}});
-    Instance candidate = build_candidate(mask);
-    // Gelfond–Lifschitz check: S(M) == M, where S evaluates the positive
-    // part to a least fixpoint with negations fixed against M. Each
-    // candidate gets a fresh sub-context (indexes over one candidate are
-    // useless for the next); only its scalar counters are kept.
-    EvalContext cand_ctx(options);
-    cand_ctx.provenance = nullptr;
-    cand_ctx.InheritDeadline(*ctx);
-    // MergeFrom folds this sub-context into `ctx` — publishing it
-    // separately would double-count every event.
-    cand_ctx.publish_metrics = false;
-    Result<Instance> reduct_lfp =
-        NaiveLeastFixpoint(program, input, &candidate, &cand_ctx);
-    if (!reduct_lfp.ok()) return reduct_lfp.status();
-    cand_ctx.Finalize();
-    int saved_rounds = ctx->stats.rounds;
-    ctx->stats.MergeFrom(cand_ctx.stats);
-    ctx->stats.rounds = saved_rounds;
-    if (*reduct_lfp == candidate) {
-      out.models.push_back(std::move(candidate));
+      const Check& check = checks[i];
+      if (!check.status.ok()) return check.status;
+      const int saved_rounds = ctx->stats.rounds;
+      ctx->stats.MergeFrom(check.stats);
+      ctx->stats.rounds = saved_rounds;
+      if (check.stable) out.models.push_back(build_candidate(first + i));
     }
   }
   return out;

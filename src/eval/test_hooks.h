@@ -1,6 +1,8 @@
 #ifndef UNCHAINED_EVAL_TEST_HOOKS_H_
 #define UNCHAINED_EVAL_TEST_HOOKS_H_
 
+#include <cstdint>
+
 // Fault-injection knobs for the fuzzing harness's end-to-end self-test
 // (tools/unchained_fuzz --inject-bug=...): deliberately planted engine
 // bugs that the differential oracles must catch and the shrinker must
@@ -51,6 +53,12 @@ extern bool g_store_skip_truncate;
 /// the server's crashed() gate quarantines the dirtied view. Defined in
 /// store/io.cc.
 extern int g_store_fail_pwrites;
+
+/// When > 0, replaces the WAL's 64 MiB record-payload cap on the append
+/// side (store::Wal::FitsRecord), so a test can send a batch too large
+/// to log without building 64 MiB of update tokens. Scans keep the real
+/// cap. Defined in store/wal.cc.
+extern int64_t g_store_record_cap;
 
 }  // namespace internal
 }  // namespace datalog

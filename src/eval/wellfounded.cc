@@ -13,9 +13,8 @@ Result<WellFoundedModel> WellFoundedSemantics(const Program& program,
   assert(ctx != nullptr);
   OBS_SPAN("wellfounded.eval");
   // The inner fixpoints run on over-/under-estimates whose derivations
-  // would be misleading as provenance: the naive engine never records any,
-  // so nothing to strip. Mask provenance for the duration regardless, in
-  // case a future inner engine consults it.
+  // would be misleading as provenance, and the naive engine records into
+  // whatever log the context carries: mask it for the duration.
   DerivationLog* saved_provenance = ctx->provenance;
   ctx->provenance = nullptr;
   // Alternating fixpoint: under_0 = input (no idb facts);

@@ -193,6 +193,67 @@ Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
   return ticket;
 }
 
+void Server::CommitBatch(const std::vector<FactUpdate>& batch,
+                         const std::string& tokens, Response* response) {
+  // Planted torn-read bug (test_hooks.h): copy the model *before* the
+  // batch lands, then publish that stale copy under the new epoch.
+  std::optional<Instance> stale;
+  if (internal::g_server_publish_stale) stale = view_->model();
+
+  const int64_t syncs_before =
+      store_ != nullptr ? store_->wal().syncs() : 0;
+  const Status st = view_->ApplyBatch(batch);
+  if (!st.ok()) {
+    response->status = st.code();
+    response->error = st.message();
+    return;
+  }
+  const int64_t epoch = registry_.current_epoch() + 1;
+  // WAL append sits between apply and publish: an acknowledged commit is
+  // always in the log (modulo the group-commit window), and a rejected
+  // batch never is. On append failure the epoch is neither published
+  // nor acked — the view is dirty now, but every append failure (the
+  // crash schedule, a real I/O error such as ENOSPC, a record over the
+  // cap) latches the store's crashed flag, so the crashed() gate in
+  // ApplyOneQueued keeps the dirty state private forever.
+  if (store_ != nullptr) {
+    OBS_SPAN("server.wal_append", {{"epoch", static_cast<int>(epoch)}});
+    const Status append = store_->AppendCommit(epoch, tokens);
+    if (!append.ok()) {
+      WalRefusedCounter().Add(1);
+      response->status = append.code();
+      response->error = append.message();
+      return;
+    }
+    WalAppendsCounter().Add(1);
+    WalBytesGauge().Set(store_->wal().size());
+  }
+  BatchesAppliedCounter().Add(1);
+  PublishCurrentModel(epoch, std::move(stale));
+  response->epoch = epoch;
+  if (store_ == nullptr) return;
+  // Compaction after publish: the ack does not wait on the snapshot
+  // write, and a compaction crash cannot retract an acked commit — it
+  // only kills the store for *future* writes.
+  if (store_->CompactionDue()) {
+    OBS_SPAN("server.compact", {{"epoch", static_cast<int>(epoch)}});
+    // The snapshot's raw value words are only decodable with this
+    // writer's interning order, so the full spelling table rides along
+    // (snapshotter.h).
+    std::vector<std::string> spellings;
+    spellings.reserve(static_cast<size_t>(symbols_->size()));
+    for (int v = 0; v < symbols_->size(); ++v) {
+      spellings.push_back(symbols_->NameOf(static_cast<Value>(v)));
+    }
+    const int64_t before = store_->snapshots();
+    (void)store_->MaybeCompact(epoch, view_->base().SerializeSnapshot(),
+                               std::move(spellings));
+    if (store_->snapshots() > before) WalSnapshotsCounter().Add(1);
+    WalBytesGauge().Set(store_->wal().size());
+  }
+  WalSyncsCounter().Add(store_->wal().syncs() - syncs_before);
+}
+
 bool Server::ApplyOneQueued() {
   PendingUpdate pending;
   {
@@ -206,87 +267,27 @@ bool Server::ApplyOneQueued() {
            {{"updates", static_cast<int>(pending.batch.size())}});
   obs::ScopedLatency latency(&ApplyLatency());
 
-  // A crashed store refuses all further writes without touching the
-  // view: the view may already hold a batch whose WAL append failed, and
-  // that dirty state must never be published or extended.
+  // A durable commit logs the batch's canonical tokens, formatted before
+  // the batch touches the view so that what the log cannot take is
+  // refused while the view is still clean: a batch too large for one WAL
+  // record, and every write to a crashed store — whose view may already
+  // hold a batch whose WAL append failed, a dirty state that must never
+  // be published or extended.
+  std::string tokens;
+  if (store_ != nullptr) {
+    tokens = FormatUpdateTokens(pending.batch, *catalog_, *symbols_);
+  }
+  Response response;
   if (store_ != nullptr && store_->crashed()) {
     WalRefusedCounter().Add(1);
-    Response refused = Refuse(StatusCode::kInternal,
-                              "store crashed (commit refused)");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      TicketState& ticket = tickets_[pending.ticket];
-      ticket.done = true;
-      ticket.response = std::move(refused);
-    }
-    tickets_cv_.notify_all();
-    return true;
-  }
-
-  // Planted torn-read bug (test_hooks.h): copy the model *before* the
-  // batch lands, then publish that stale copy under the new epoch.
-  std::optional<Instance> stale;
-  if (internal::g_server_publish_stale) stale = view_->model();
-
-  const int64_t syncs_before =
-      store_ != nullptr ? store_->wal().syncs() : 0;
-  const Status st = view_->ApplyBatch(pending.batch);
-  Response response;
-  bool logged = true;
-  if (!st.ok()) {
-    response.status = st.code();
-    response.error = st.message();
+    response = Refuse(StatusCode::kInternal, "store crashed (commit refused)");
+  } else if (store_ != nullptr && !store::Wal::FitsRecord(tokens.size())) {
+    WalRefusedCounter().Add(1);
+    response = Refuse(StatusCode::kBudgetExhausted,
+                      "update batch too large to log (" +
+                          std::to_string(tokens.size()) + " token bytes)");
   } else {
-    const int64_t epoch = registry_.current_epoch() + 1;
-    // WAL append sits between apply and publish: an acknowledged commit
-    // is always in the log (modulo the group-commit window), and a
-    // rejected batch never is. On append failure the epoch is neither
-    // published nor acked — the view is dirty now, but both failure
-    // kinds (the crash schedule AND a real I/O error, e.g. ENOSPC) latch
-    // the store's crashed flag, so the crashed() gate above keeps the
-    // dirty state private forever.
-    if (store_ != nullptr) {
-      OBS_SPAN("server.wal_append", {{"epoch", static_cast<int>(epoch)}});
-      const std::string tokens =
-          FormatUpdateTokens(pending.batch, *catalog_, *symbols_);
-      const Status append = store_->AppendCommit(epoch, tokens);
-      if (!append.ok()) {
-        logged = false;
-        WalRefusedCounter().Add(1);
-        response.status = append.code();
-        response.error = append.message();
-      } else {
-        WalAppendsCounter().Add(1);
-        WalBytesGauge().Set(store_->wal().size());
-      }
-    }
-    if (logged) {
-      BatchesAppliedCounter().Add(1);
-      PublishCurrentModel(epoch, std::move(stale));
-      response.epoch = epoch;
-      // Compaction after publish: the ack does not wait on the snapshot
-      // write, and a compaction crash cannot retract an acked commit —
-      // it only kills the store for *future* writes.
-      if (store_ != nullptr && store_->CompactionDue()) {
-        OBS_SPAN("server.compact", {{"epoch", static_cast<int>(epoch)}});
-        // The snapshot's raw value words are only decodable with this
-        // writer's interning order, so the full spelling table rides
-        // along (snapshotter.h).
-        std::vector<std::string> spellings;
-        spellings.reserve(static_cast<size_t>(symbols_->size()));
-        for (int v = 0; v < symbols_->size(); ++v) {
-          spellings.push_back(symbols_->NameOf(static_cast<Value>(v)));
-        }
-        const int64_t before = store_->snapshots();
-        (void)store_->MaybeCompact(epoch, view_->base().SerializeSnapshot(),
-                                   std::move(spellings));
-        if (store_->snapshots() > before) WalSnapshotsCounter().Add(1);
-        WalBytesGauge().Set(store_->wal().size());
-      }
-      if (store_ != nullptr) {
-        WalSyncsCounter().Add(store_->wal().syncs() - syncs_before);
-      }
-    }
+    CommitBatch(pending.batch, tokens, &response);
   }
 
   {
@@ -419,14 +420,13 @@ void Server::Stop() {
   // Unblock connection pumps stuck in ReadFrame, then join them. Their
   // in-flight Calls have already settled: pre-stop work was drained
   // above, post-stop work is refused at enqueue.
-  for (const std::unique_ptr<ByteChannel>& channel : conn_channels_) {
-    channel->Close();
+  for (const std::unique_ptr<Connection>& conn : connections_) {
+    conn->channel->Close();
   }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (const std::unique_ptr<Connection>& conn : connections_) {
+    conn->pump.join();
   }
-  conn_threads_.clear();
-  conn_channels_.clear();
+  connections_.clear();
   started_ = false;
 }
 
@@ -500,6 +500,11 @@ Response Server::Call(const Request& request) {
 }
 
 void Server::Serve(ByteChannel* channel) {
+  ServeFrames(channel);
+  channel->Close();
+}
+
+void Server::ServeFrames(ByteChannel* channel) {
   std::string payload;
   while (ReadFrame(channel, &payload)) {
     Request request;
@@ -512,7 +517,6 @@ void Server::Serve(ByteChannel* channel) {
     const Response response = Call(request);
     if (!WriteFrame(channel, EncodeResponse(response))) break;
   }
-  channel->Close();
 }
 
 void Server::ServeListener(SocketListener* listener) {
@@ -520,12 +524,29 @@ void Server::ServeListener(SocketListener* listener) {
     std::unique_ptr<ByteChannel> channel = listener->Accept();
     if (channel == nullptr) return;
     std::lock_guard<std::mutex> lock(threads_mu_);
-    // The server keeps ownership so Stop can Close (unblock) the pump;
-    // the channel is freed with the containers at Stop.
-    ByteChannel* raw = channel.get();
-    conn_channels_.push_back(std::move(channel));
-    conn_threads_.emplace_back([this, raw] { Serve(raw); });
+    // Reap the pumps whose clients went away, so a long-running server
+    // holds only its live connections (plus at most the ones that closed
+    // since this accept's predecessor).
+    std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+      if (!c->done.load(std::memory_order_acquire)) return false;
+      c->pump.join();
+      return true;
+    });
+    auto conn = std::make_unique<Connection>();
+    conn->channel = std::move(channel);
+    Connection* raw = conn.get();
+    raw->pump = std::thread([this, raw] {
+      ServeFrames(raw->channel.get());
+      raw->done.store(true, std::memory_order_release);
+      raw->channel->Close();
+    });
+    connections_.push_back(std::move(conn));
   }
+}
+
+size_t Server::connections() const {
+  std::lock_guard<std::mutex> lock(threads_mu_);
+  return connections_.size();
 }
 
 IncrementalView::Stats Server::view_stats() const {

@@ -28,6 +28,7 @@
 // many batches commit meanwhile; and at quiescence no pins are held and
 // every retired snapshot has been reclaimed.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -137,9 +138,14 @@ class Server {
   void Serve(ByteChannel* channel);
 
   /// Accept loop: one connection-pump thread per accepted channel.
-  /// Returns when the listener is closed; the pump threads are joined by
+  /// Returns when the listener is closed. A pump whose client closed is
+  /// joined and dropped at the next accept; the rest are joined by
   /// Stop().
   void ServeListener(SocketListener* listener);
+
+  /// Connections ServeListener holds: the live ones plus any closed one
+  /// not yet reaped by a later accept.
+  size_t connections() const;
 
   // -- Introspection ----------------------------------------------------
 
@@ -208,8 +214,27 @@ class Server {
   void PublishCurrentModel(int64_t epoch,
                            std::optional<Instance> stale = std::nullopt);
 
+  /// Applies `batch` to the view, logs `tokens` (its canonical update
+  /// tokens) when durable, publishes the next epoch and fills the ack —
+  /// or the rejection. Writer only.
+  void CommitBatch(const std::vector<FactUpdate>& batch,
+                   const std::string& tokens, Response* response);
+
   void WriterLoop();
   void ReaderLoop();
+  /// Serve's frame loop, without its final channel Close: the
+  /// ServeListener pump marks itself done in between.
+  void ServeFrames(ByteChannel* channel);
+
+  /// One accepted connection, owned here so Stop can Close the channel to
+  /// unblock its pump thread.
+  struct Connection {
+    std::unique_ptr<ByteChannel> channel;
+    std::thread pump;
+    /// Set by the pump once it stops reading, before it closes the
+    /// channel, so a client that saw the close finds it reapable.
+    std::atomic<bool> done{false};
+  };
 
   const Catalog* catalog_;
   SymbolTable* symbols_;
@@ -238,15 +263,12 @@ class Server {
   std::condition_variable jobs_done_cv_;  // a job finished
   std::deque<QueryJob*> jobs_;
 
-  std::mutex threads_mu_;  // guards the thread containers + started_
+  mutable std::mutex threads_mu_;  // guards the thread containers + started_
   bool started_ = false;
   bool stopping_ = false;  // written under mu_ AND jobs_mu_ when set
   std::thread writer_thread_;
   std::vector<std::thread> reader_threads_;
-  std::vector<std::thread> conn_threads_;
-  /// Accepted connections, owned here so Stop can Close them to unblock
-  /// their pump threads.
-  std::vector<std::unique_ptr<ByteChannel>> conn_channels_;
+  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 }  // namespace server

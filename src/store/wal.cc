@@ -10,9 +10,15 @@
 #include <array>
 #include <cstring>
 
+#include "eval/test_hooks.h"
 #include "store/io.h"
 
 namespace datalog {
+
+namespace internal {
+int64_t g_store_record_cap = 0;
+}  // namespace internal
+
 namespace store {
 
 namespace {
@@ -31,11 +37,19 @@ std::array<uint32_t, 256> BuildCrcTable() {
 
 constexpr size_t kHeaderBytes = 8;   // u32 len + u32 crc
 constexpr size_t kEpochBytes = 8;    // i64 epoch inside the payload
-/// Refuse absurd record lengths during scans so a corrupt length prefix
-/// cannot drive a multi-GiB allocation. Far above any generated batch.
+/// The largest record payload. Appends refuse anything bigger
+/// (Wal::FitsRecord), and scans refuse larger length prefixes so a
+/// corrupt one cannot drive a multi-GiB allocation.
 constexpr uint32_t kMaxRecordPayload = 64u << 20;
 
 }  // namespace
+
+bool Wal::FitsRecord(size_t token_bytes) {
+  const int64_t cap = internal::g_store_record_cap > 0
+                          ? internal::g_store_record_cap
+                          : int64_t{kMaxRecordPayload};
+  return static_cast<int64_t>(token_bytes) <= cap - int64_t{kEpochBytes};
+}
 
 uint32_t Crc32(const void* data, size_t n) {
   static const std::array<uint32_t, 256> kTable = BuildCrcTable();
@@ -105,13 +119,13 @@ Status Wal::Append(int64_t epoch, const std::string& update_tokens) {
   if (crashed_) {
     return Status::Internal("store crashed (wal append refused)");
   }
+  if (!FitsRecord(update_tokens.size())) {
+    return Poison(Status::Internal("wal record over size cap"));
+  }
   std::string payload;
   payload.reserve(kEpochBytes + update_tokens.size());
   PutI64(&payload, epoch);
   payload += update_tokens;
-  if (payload.size() > kMaxRecordPayload) {
-    return Status::Internal("wal record over size cap");
-  }
   std::string record;
   record.reserve(kHeaderBytes + payload.size());
   PutU32(&record, static_cast<uint32_t>(payload.size()));

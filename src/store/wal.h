@@ -64,9 +64,17 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
   ~Wal();
 
+  /// Whether a batch whose canonical update tokens are `token_bytes`
+  /// long fits one record (the 64 MiB payload cap, less the epoch). The
+  /// server checks this before applying a batch, so a batch the log
+  /// cannot hold is refused while the view is still untouched.
+  static bool FitsRecord(size_t token_bytes);
+
   /// Appends the record for `epoch` and runs the group-commit window.
   /// On a schedule crash the configured tail damage is applied and
-  /// kInternal is returned — the commit must NOT be acknowledged.
+  /// kInternal is returned — the commit must NOT be acknowledged. A
+  /// record that does not fit (FitsRecord) latches the log dead too: the
+  /// caller has applied a batch it cannot log.
   Status Append(int64_t epoch, const std::string& update_tokens);
 
   /// Forces the group-commit window closed (fsync now).

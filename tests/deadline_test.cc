@@ -56,8 +56,9 @@ TEST_F(DeadlineTest, TcDeadlineExhaustsAtEveryThreadCount) {
     // Finalized stats: the clock ran and the per-rule slots exist for
     // both TC rules. How much progress fits inside 10ms depends on the
     // machine (under TSan a parallel round can be interrupted before any
-    // unit ran), so guaranteed-progress assertions are reserved for the
-    // sequential run, whose round 0 has no intra-round interrupt point.
+    // unit ran), so progress assertions are reserved for the run with no
+    // pool: its round 0 is two inline units over the 2048 edges, done
+    // well inside the deadline, and only a round cut short is discarded.
     EXPECT_GT(stats.total_ms, 0.0);
     ASSERT_EQ(stats.per_rule.size(), 2u);
     if (threads == 1) {

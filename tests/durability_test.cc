@@ -681,6 +681,63 @@ TEST_F(RecoverTest, SkipsWalEpochsAlreadyInTheSnapshot) {
             ReplayModel("e1(0, 1).", {"+e1(1,2)"}));
 }
 
+// A batch too large for one WAL record is refused before it touches the
+// view, and the store stays alive: the next commit publishes, acks and
+// logs only what was acked, so recovery replays exactly those commits.
+// The record cap is lowered so the oversized batch stays a few bytes.
+TEST_F(RecoverTest, OversizedBatchIsRefusedBeforeTheViewSeesIt) {
+  ScratchDir dir;
+  server::ServerOptions options;
+  options.durability.dir = dir.path();
+  options.durability.sync_every = 1;
+  options.durability.snapshot_every = 0;
+  struct RecordCap {
+    RecordCap() { internal::g_store_record_cap = 64; }
+    ~RecordCap() { internal::g_store_record_cap = 0; }
+  };
+  {
+    const RecordCap cap;
+    auto server = server::Server::Create(program_, &engine_.catalog(),
+                                         &engine_.symbols(),
+                                         MustBase("e1(0, 1)."), options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    std::string oversized;
+    for (int v = 1; v <= 8; ++v) {
+      oversized += "+e1(" + std::to_string(v) + "," +
+                   std::to_string(v + 1) + ") ";
+    }
+    for (const std::string& tokens : {oversized, std::string("+e1(1,2)")}) {
+      Result<int64_t> ticket = (*server)->SubmitUpdate(tokens);
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      ASSERT_TRUE((*server)->ApplyOneQueued());
+      server::Response response;
+      ASSERT_TRUE((*server)->UpdateOutcome(*ticket, &response));
+      if (tokens == oversized) {
+        EXPECT_EQ(response.status, StatusCode::kBudgetExhausted);
+        EXPECT_EQ(response.epoch, -1);
+        EXPECT_FALSE((*server)->store()->crashed());
+      } else {
+        EXPECT_EQ(response.status, StatusCode::kOk) << response.error;
+        EXPECT_EQ(response.epoch, 1);
+      }
+    }
+    server::Response snapshot = (*server)->ServeQuery(server::Request{
+        server::Request::Kind::kSnapshotQuery, "", 0, nullptr});
+    ASSERT_EQ(snapshot.status, StatusCode::kOk);
+    EXPECT_EQ(snapshot.body, ReplayModel("e1(0, 1).", {"+e1(1,2)"}));
+    ASSERT_TRUE((*server)->FlushStore().ok());
+  }
+
+  Result<store::Recovered> recovered =
+      Recover(dir.path(), program_, engine_.catalog(), &engine_.symbols(),
+              MustBase("e1(0, 1)."));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->epoch, 1);
+  EXPECT_EQ(recovered->replayed, 1);
+  EXPECT_EQ(recovered->view->model().SerializeSnapshot(),
+            ReplayModel("e1(0, 1).", {"+e1(1,2)"}));
+}
+
 TEST_F(RecoverTest, AppendPathCrashLeavesOneCommitInDoubt) {
   // One session commits four batches in order under a per-commit fsync,
   // so each commit passes two crash points: hit 2e-1 is epoch e's WAL

@@ -13,6 +13,7 @@
 #include "base/rng.h"
 #include "core/engine.h"
 #include "eval/incremental.h"
+#include "eval/provenance.h"
 #include "eval/stable.h"
 #include "ra/storage/storage.h"
 #include "random_programs.h"
@@ -163,6 +164,107 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarRandomSweep,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+/// The derivation tree of every model fact, as recorded by the
+/// provenance-tracking engines at a given thread count. Units stage each
+/// produced tuple's premises (on pool workers when there is a pool) and
+/// the merge replays the first derivations in unit order, so every tree
+/// must be byte-identical at every thread count.
+std::string ExplainAllFacts(const std::string& program_text,
+                            const std::string& facts_text, int num_threads) {
+  Engine engine;
+  engine.options().num_threads = num_threads;
+  Result<Program> p = engine.Parse(program_text);
+  EXPECT_TRUE(p.ok()) << p.status().ToString();
+  Instance db = engine.NewInstance();
+  EXPECT_TRUE(engine.AddFacts(facts_text, &db).ok());
+
+  std::string out;
+  auto explain = [&](const std::string& name, const Instance& model,
+                     const DerivationLog& log) {
+    out += name + " (" + std::to_string(log.size()) + " derived):\n";
+    for (PredId pred = 0; pred < engine.catalog().size(); ++pred) {
+      for (const Tuple& t : model.Rel(pred)) {
+        out += log.Explain(pred, t, *p, engine.catalog(), engine.symbols());
+      }
+    }
+  };
+  if (program_text.find('!') == std::string::npos) {
+    DerivationLog log;
+    engine.options().provenance = &log;
+    Result<Instance> seminaive = engine.MinimumModel(*p, db);
+    EXPECT_TRUE(seminaive.ok());
+    if (seminaive.ok()) explain("seminaive", *seminaive, log);
+  }
+  {
+    DerivationLog log;
+    engine.options().provenance = &log;
+    Result<Instance> stratified = engine.Stratified(*p, db);
+    EXPECT_TRUE(stratified.ok()) << stratified.status().ToString();
+    if (stratified.ok()) explain("stratified", *stratified, log);
+  }
+  {
+    DerivationLog log;
+    engine.options().provenance = &log;
+    Result<InflationaryResult> infl = engine.Inflationary(*p, db);
+    EXPECT_TRUE(infl.ok());
+    if (infl.ok()) explain("inflationary", infl->instance, log);
+  }
+  engine.options().provenance = nullptr;
+  return out;
+}
+
+/// Named *Provenance* so the TSan lane in tools/check.sh selects it:
+/// premises are instantiated on pool workers.
+class ParallelProvenanceSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ParallelProvenanceSweep, ExplainIdenticalAcrossThreadCounts) {
+  Rng rng(GetParam());
+  const std::string program_text = random_programs::RandomProgram(&rng);
+  const std::string facts_text = random_programs::RandomFacts(&rng, 5, 8, 3);
+  SCOPED_TRACE("program:\n" + program_text + "facts:\n" + facts_text);
+
+  const std::string sequential = ExplainAllFacts(program_text, facts_text, 1);
+  for (int t : kThreadCounts) {
+    if (t == 1) continue;
+    SCOPED_TRACE("num_threads=" + std::to_string(t));
+    EXPECT_EQ(sequential, ExplainAllFacts(program_text, facts_text, t));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParallelProvenanceSweep,
+                         ::testing::Range(uint64_t{1}, uint64_t{21}),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+/// The random programs derive few facts, so a dense closure backs the
+/// sweep: its delta rounds split into several units per rule, and most
+/// facts are derived many times over, in different units — the merge must
+/// still keep the first derivation of the one-at-a-time order.
+TEST(ParallelProvenance, DenseClosureIdenticalAcrossThreadCounts) {
+  Rng rng(7);
+  std::string facts;
+  for (int v = 0; v < 30; ++v) facts += "n(" + std::to_string(v) + ").\n";
+  for (int e = 0; e < 90; ++e) {
+    facts += "g(" + std::to_string(rng.UniformInt(30)) + ", " +
+             std::to_string(rng.UniformInt(30)) + ").\n";
+  }
+  const std::string tc =
+      "t(X, Y) :- g(X, Y).\n"
+      "t(X, Y) :- t(X, Z), t(Z, Y).\n";
+  const std::string complement = tc + "ct(X, Y) :- n(X), n(Y), !t(X, Y).\n";
+  for (const std::string& program : {tc, complement}) {
+    SCOPED_TRACE("program:\n" + program);
+    const std::string sequential = ExplainAllFacts(program, facts, 1);
+    EXPECT_NE(sequential.find("rule #2"), std::string::npos);
+    for (int t : kThreadCounts) {
+      if (t == 1) continue;
+      SCOPED_TRACE("num_threads=" + std::to_string(t));
+      EXPECT_EQ(sequential, ExplainAllFacts(program, facts, t));
+    }
+  }
+}
 
 /// One incremental-maintenance pass under a given engine configuration:
 /// random update batches (a pure function of `update_seed`) applied to an

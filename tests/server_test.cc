@@ -920,6 +920,45 @@ TEST_F(ServerThreadedTest, ServesOverLocalhostSockets) {
   server->Stop();
 }
 
+// A long-running server must not keep every connection it ever accepted:
+// a pump whose client closed is joined and dropped at the next accept.
+// Each client ends with kClose and waits for the server's close, which
+// the pump issues after marking itself done, so the next accept always
+// finds the previous pump reapable.
+TEST_F(ServerThreadedTest, ClosedConnectionsAreReapedOnTheNextAccept) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  server->Start();
+
+  Result<std::unique_ptr<SocketListener>> listener = SocketListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int port = (*listener)->port();
+  std::thread accept_loop([&server, l = listener->get()] {
+    server->ServeListener(l);
+  });
+
+  for (int i = 0; i < 64; ++i) {
+    Result<std::unique_ptr<ByteChannel>> connected = SocketConnect(port);
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    std::unique_ptr<ByteChannel> client = std::move(*connected);
+    ASSERT_TRUE(WriteFrame(client.get(),
+                           EncodeRequest(Request{Request::Kind::kPing, "", 0,
+                                                 nullptr})));
+    std::string payload;
+    ASSERT_TRUE(ReadFrame(client.get(), &payload));
+    ASSERT_TRUE(WriteFrame(client.get(),
+                           EncodeRequest(Request{Request::Kind::kClose, "",
+                                                 0, nullptr})));
+    EXPECT_FALSE(ReadFrame(client.get(), &payload));
+    client->Close();
+  }
+  EXPECT_LE(server->connections(), 1u);
+
+  (*listener)->Close();
+  accept_loop.join();
+  server->Stop();
+  EXPECT_EQ(server->connections(), 0u);
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace datalog

@@ -37,7 +37,8 @@ std::string TraceTree(Fn&& body) {
 
 TEST(GoldenTraceTest, TransitiveClosureSpanTree) {
   // The quickstart TC program on a 4-edge chain: one seminaive.step with
-  // round 1 (the base round) and the delta rounds walking the chain.
+  // round 1 (the base round: one eval.unit per rule) and the delta rounds
+  // walking the chain, where only the recursive rule has a delta unit.
   Engine engine;
   engine.options().num_threads = 1;
   Result<Program> program = engine.Parse(
@@ -56,23 +57,19 @@ TEST(GoldenTraceTest, TransitiveClosureSpanTree) {
       "thread 0:\n"
       "  seminaive.step\n"
       "    seminaive.round round=1\n"
-      "      seminaive.rule rule=0\n"
+      "      eval.unit rule=0\n"
       "        index.build pred=1 mask=0\n"
-      "      seminaive.rule rule=1\n"
+      "      eval.unit rule=1\n"
       "        index.build pred=0 mask=0\n"
       "    seminaive.round round=2\n"
-      "      seminaive.rule rule=0\n"
-      "      seminaive.rule rule=1\n"
+      "      eval.unit rule=1\n"
       "        index.build pred=1 mask=2\n"
       "    seminaive.round round=3\n"
-      "      seminaive.rule rule=0\n"
-      "      seminaive.rule rule=1\n"
+      "      eval.unit rule=1\n"
       "    seminaive.round round=4\n"
-      "      seminaive.rule rule=0\n"
-      "      seminaive.rule rule=1\n"
+      "      eval.unit rule=1\n"
       "    seminaive.round round=5\n"
-      "      seminaive.rule rule=0\n"
-      "      seminaive.rule rule=1\n";
+      "      eval.unit rule=1\n";
   EXPECT_EQ(tree, golden) << "actual tree:\n" << tree;
 }
 

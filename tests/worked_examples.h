@@ -6,8 +6,8 @@
 // Engine API on a fixed input and renders the result with the canonical
 // `Instance::ToString` (predicates in catalog order, tuples sorted), so the
 // returned string is byte-stable across refactors of the evaluation
-// substrate. Each takes the evaluation thread count (default 1, the
-// sequential path); the parallel determinism test sweeps it and expects
+// substrate. Each takes the evaluation thread count (default 1, no
+// pool); the parallel determinism test sweeps it and expects
 // the same bytes at every setting. The golden strings in
 // index_incremental_test.cc were captured from the seed build; any engine
 // change that alters them is a semantics regression, not a formatting

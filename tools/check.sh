@@ -213,6 +213,8 @@ fi
 if [[ "${tsan}" -eq 1 ]]; then
   # The evaluation-layer tests exercise every parallel code path (the
   # determinism sweep runs all engines at 1/2/8 threads under TSan);
+  # Provenance covers why-provenance recording, whose rounds instantiate
+  # each produced tuple's premises on pool workers;
   # Trace/Obs covers the observability ring buffers and shard merges;
   # Peers/Dist/Fault/Deadline/Cancel covers the fault-tolerant peer runs
   # and the deadline/cancellation probes at ThreadPool chunk boundaries;
@@ -230,7 +232,7 @@ if [[ "${tsan}" -eq 1 ]]; then
   # (docs/durability.md) — the writer-thread WAL appends and compaction
   # against concurrent readers, and the restart/recovery paths.
   run_suite "${repo}/build-tsan" \
-    "--tests-regex=Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
+    "--tests-regex=Parallel|Provenance|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DUNCHAINED_TSAN=ON
 fi
 
